@@ -28,6 +28,16 @@ def _threshold(value: str) -> float | str:
     return float(value)
 
 
+def _count(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def count(value: str) -> int:
+        n = int(value)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+        return n
+    return count
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", required=True, help="edge-list input file")
     p.add_argument("--out", default=".", help="output directory (default: cwd)")
@@ -38,10 +48,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_em_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n0", type=int, default=2, help="Kronecker base dimension (default 2)")
-    p.add_argument("--em-iters", type=int, default=30)
+    p.add_argument("--em-iters", type=_count(1), default=30)
     p.add_argument("--mcmc-samples", type=int, default=None,
                    help="placement proposals per E-step (default 10*(N+M))")
-    p.add_argument("--grad-steps", type=int, default=50)
+    p.add_argument("--grad-steps", type=_count(0), default=50)
     p.add_argument("--learning-rate", type=float, default=1e-5)
 
 
@@ -51,7 +61,7 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
                    help="membership threshold, or 'auto' (default)")
     p.add_argument("--eta-detect", type=float, default=None,
                    help="convergence threshold (default: relative-absolute hybrid)")
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=_count(1), default=200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_abs", type=float, default=None,
                    help="absolute lambda override")
     p.add_argument("--no-i0", action="store_true", help="exclude i=0 from the search")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_count(1), default=1)
 
     p = sub.add_parser("baseline1", help="detection on the observed graph only")
     _add_common(p)
@@ -115,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-coef", type=float, default=10.0)
     p.add_argument("--lambda", dest="lambda_abs", type=float, default=None)
     p.add_argument("--no-i0", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_count(1), default=1)
 
     return parser
 
@@ -282,7 +292,10 @@ def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args)
     g, id_map = _load_graph(args.edges)
     with open(args.truth, encoding="utf-8") as f:
-        truth = Cover.read(f, id_map=id_map, universe=g.n)
+        try:
+            truth = Cover.read(f, id_map=id_map, universe=g.n)
+        except KeyError as exc:
+            raise ValueError(f"truth label '{exc.args[0]}' not in the edge list") from None
     spec = SampleSpec(
         strategy=args.strategy,
         fraction=args.fraction,

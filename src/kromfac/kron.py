@@ -450,7 +450,9 @@ def kronem_fit(
     k = smallest_power(n0, n)
     if theta_init is None:
         theta_init = random_theta_init(n0, rng)
-    model = KroneckerModel(n0=n0, theta=_clamp(np.asarray(theta_init, dtype=float)), k=k)
+    # The MH pair term assumes a symmetric theta; a symmetric init is kept bit for bit.
+    theta = _clamp(_symmetrize(np.asarray(theta_init, dtype=float)))
+    model = KroneckerModel(n0=n0, theta=theta, k=k)
 
     state = _SampledState(g_obs, m_missing, model.num_indices, rng)
     proposals = cfg.mcmc_samples if cfg.mcmc_samples is not None else 10 * n

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kromfac.cli import run_command
+from kromfac.cli import build_parser, run_command
 from kromfac.graph import load_edge_list
 
 FAST_EM = ["--em-iters", "2", "--grad-steps", "4", "--mcmc-samples", "40"]
@@ -34,6 +34,26 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert run_command(["--help"]) == 0
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--em-iters", "0"), ("--grad-steps", "-1"), ("--max-iters", "0"), ("--threads", "0"),
+    ])
+    def test_rejects_bad_count(self, tmp_path, capsys, flag, value):
+        edges = two_cliques_file(tmp_path)
+        args = [
+            "detect", "--edges", str(edges), "--out", str(tmp_path / "o"),
+            "--communities", "2", "--missing", "2", "--seed", "0", flag, value,
+        ]
+        assert run_command(args) == 2
+        assert f"{flag}: must be >=" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_accepts_smallest_counts(self):
+        args = build_parser().parse_args([
+            "detect", "--edges", "g.txt", "--communities", "2", "--missing", "2",
+            "--em-iters", "1", "--grad-steps", "0", "--max-iters", "1", "--threads", "1",
+        ])
+        assert (args.em_iters, args.grad_steps, args.max_iters, args.threads) == (1, 0, 1, 1)
+
 
 class TestRuntimeErrors:
     def test_missing_input_file(self, tmp_path):
@@ -51,6 +71,17 @@ class TestRuntimeErrors:
             "--out", str(tmp_path), "--communities", "2", "--seed", "0",
         ]
         assert run_command(args) == 1
+
+    def test_truth_label_not_in_edge_list(self, tmp_path, capsys):
+        edges = two_cliques_file(tmp_path)
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0 1 2 3\n4 5 6 99\n", encoding="utf-8")
+        args = [
+            "experiment", "--edges", str(edges), "--truth", str(truth),
+            "--out", str(tmp_path / "o"), "--communities", "2", "--seed", "0",
+        ]
+        assert run_command(args) == 1
+        assert capsys.readouterr().err == "error: truth label '99' not in the edge list\n"
 
 
 class TestSample:

@@ -38,6 +38,106 @@ def random_graph(n, p, seed):
     )
 
 
+def reference_row_gradient(f, u, neighbors, total):
+    """Per-neighbour loop form of row_gradient, kept as the oracle."""
+    fu = f[u]
+    grad = -(total - fu)
+    for v in neighbors:
+        s = max(float(fu @ f[v]), 1e-10)
+        e = math.exp(-s)
+        grad += f[v] * (e / (1.0 - e) + 1.0)
+    return grad
+
+
+def reference_ll(g, f):
+    """Pairwise edge-dot form of agm_log_likelihood, kept as the oracle."""
+    total = np.sum(f, axis=0)
+    edge_dots = np.array([float(f[u] @ f[v]) for u, v in g.edges()])
+    edge_term = (
+        float(np.sum(np.log(-np.expm1(-np.maximum(edge_dots, 1e-10)))))
+        if edge_dots.size
+        else 0.0
+    )
+    all_pairs = (float(total @ total) - float(np.sum(f * f))) / 2.0
+    return edge_term - (all_pairs - float(np.sum(edge_dots)))
+
+
+def reference_row_objective(fu, nbr_rows, total_other):
+    if nbr_rows.size:
+        s = nbr_rows @ fu
+        edge = float(np.sum(np.log(-np.expm1(-np.maximum(s, 1e-10))))) + float(np.sum(s))
+    else:
+        edge = 0.0
+    return edge - float(fu @ total_other)
+
+
+def reference_pass(g, f, step_init):
+    """One pass of row updates in the scalar form commun_det used to take."""
+    f = f.copy()
+    total = np.sum(f, axis=0)
+    for u in range(g.n):
+        nbr = g.adjacency[u]
+        nbr_rows = f[nbr] if nbr else np.empty((0, f.shape[1]))
+        total_other = total - f[u]
+        grad = reference_row_gradient(f, u, nbr, total)
+        base = reference_row_objective(f[u], nbr_rows, total_other)
+        step = step_init
+        for _ in range(10):
+            cand = np.maximum(f[u] + step * grad, 0.0)
+            if reference_row_objective(cand, nbr_rows, total_other) >= base:
+                total += cand - f[u]
+                f[u] = cand
+                break
+            step /= 2.0
+    return f
+
+
+def with_isolated_node(g):
+    """g plus one node with no neighbours (an empty neighbour slice)."""
+    return Graph(g.n + 1, g.edges())
+
+
+def rel_err(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = np.max(np.abs(b))
+    return float(np.max(np.abs(a - b)) / scale) if scale else float(np.max(np.abs(a)))
+
+
+ORACLE_GRAPHS = [
+    with_isolated_node(random_graph(14, 0.3, 60)),
+    with_isolated_node(random_graph(25, 0.15, 61)),
+    random_graph(30, 0.5, 62),
+    Graph(6, []),
+]
+
+
+class TestVectorizedOracle:
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
+    def test_row_gradient_matches_loop(self, g):
+        rng = np.random.default_rng(g.n)
+        for c in (1, 3):
+            f = rng.uniform(0.0, 1.5, size=(g.n, c))
+            f[rng.random(f.shape) < 0.2] = 0.0
+            total = f.sum(axis=0)
+            for u in range(g.n):
+                expect = reference_row_gradient(f, u, g.adjacency[u], total)
+                assert rel_err(row_gradient(f, u, g.adjacency[u], total), expect) <= 1e-12
+
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
+    def test_log_likelihood_matches_pairwise(self, g):
+        rng = np.random.default_rng(g.n + 1)
+        for c in (1, 3):
+            f = rng.uniform(0.0, 1.5, size=(g.n, c))
+            assert rel_err(agm_log_likelihood(g, f), reference_ll(g, f)) <= 1e-12
+
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
+    def test_one_pass_matches_scalar_update(self, g):
+        for seed in range(3):
+            cfg = DetectConfig(seed=seed, max_iters=1)
+            expect = reference_pass(g, init_affiliations(g, 3, seed), cfg.step_init)
+            assert rel_err(commun_det(g, 3, cfg).f, expect) <= 1e-10
+
+
 class TestEdgeProb:
     def test_disjoint_memberships(self):
         assert agm_edge_prob(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0

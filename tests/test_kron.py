@@ -184,6 +184,17 @@ class TestKronemFit:
         assert np.allclose(model.theta, theta)
         assert model.k == smallest_power(2, 4)
 
+    def test_asymmetric_init_is_symmetrized(self):
+        # The first E-step already runs on the symmetrized init: the fit
+        # matches one started from (theta + theta^T) / 2.
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+        theta = np.array([[0.9, 0.8], [0.1, 0.3]])
+        cfg = EmConfig(em_iters=2, grad_steps=2, mcmc_samples=50, seed=3)
+        m1, s1 = kronem_fit(g, 2, 2, theta, cfg)
+        m2, s2 = kronem_fit(g, 2, 2, (theta + theta.T) / 2, cfg)
+        assert np.array_equal(m1.theta, m2.theta)
+        assert np.array_equal(s1.sigma, s2.sigma)
+
     def test_mapping_shape_for_worked_example(self):
         # 6 observed + 2 missing nodes, base dim 2 -> 8 positions, power 3.
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
