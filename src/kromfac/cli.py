@@ -20,6 +20,7 @@ from .graph import NodeIdMap, load_edge_list, write_edge_list
 from .kron import EmConfig, kronem_fit, random_theta_init
 from .completion import realize_missing
 from .pipeline import AUTO, KromfacConfig, baseline1, baseline2, detect_seed, kromfac, subseed
+from .pipeline import _SEED_EM, _SEED_REALIZE, _SEED_THETA_INIT
 
 
 def _threshold(value: str) -> float | str:
@@ -47,9 +48,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_em_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n0", type=int, default=2, help="Kronecker base dimension (default 2)")
+    p.add_argument("--n0", type=_count(2), default=2, help="Kronecker base dimension (default 2)")
     p.add_argument("--em-iters", type=_count(1), default=30)
-    p.add_argument("--mcmc-samples", type=int, default=None,
+    p.add_argument("--mcmc-samples", type=_count(0), default=None,
                    help="placement proposals per E-step (default 10*(N+M))")
     p.add_argument("--grad-steps", type=_count(0), default=50)
     p.add_argument("--learning-rate", type=float, default=1e-5)
@@ -233,9 +234,10 @@ def _cmd_baseline2(args) -> int:
 def _cmd_complete(args) -> int:
     seed = _resolve_seed(args)
     g, _ = _load_graph(args.edges)
-    theta_init = random_theta_init(args.n0, np.random.default_rng(subseed(seed, 3)))
-    model, mapping = kronem_fit(g, args.missing, args.n0, theta_init, _em_config(args, subseed(seed, 1)))
-    rg = realize_missing(g, model, mapping, args.missing, subseed(seed, 2))
+    theta_init = random_theta_init(args.n0, np.random.default_rng(subseed(seed, _SEED_THETA_INIT)))
+    em = _em_config(args, subseed(seed, _SEED_EM))
+    model, mapping = kronem_fit(g, args.missing, args.n0, theta_init, em)
+    rg = realize_missing(g, model, mapping, args.missing, subseed(seed, _SEED_REALIZE))
     out = Path(args.out)
     _write(out, "theta.json", model.to_json() + "\n")
     _write(out, "mapping.json", mapping.to_json() + "\n")

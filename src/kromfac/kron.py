@@ -4,6 +4,12 @@ The model is a small parameter matrix theta (entries in (0,1)) whose
 K-fold Kronecker power gives an edge-probability matrix over n0**k
 indices. Entries are always evaluated lazily from base-n0 digits; the
 power is never materialized except in tests.
+
+The exact likelihood groups node pairs by type: the multiset of digit
+pairs (a, b) of sigma(u), sigma(v) over the k digits. Every pair of one
+type has the same probability prod theta_ab, so the sum over all u < v
+pairs becomes a sum over the occupied types (a few hundred for n0=2 at
+n≈2000), counted in row blocks without any n x n array.
 """
 from __future__ import annotations
 
@@ -21,6 +27,10 @@ THETA_CEIL = 1.0 - 1e-4
 # expansion with an explicit sum-over-edges correction.
 EXACT_PAIR_LIMIT = 4096
 
+# Node rows whose pair-type codes are computed together: the exact path
+# holds O(_ROW_BLOCK * n) numbers at a time, never an n x n array.
+_ROW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class KroneckerModel:
@@ -31,6 +41,8 @@ class KroneckerModel:
     k: int
 
     def __post_init__(self):
+        if self.n0 < 2:
+            raise ValueError("n0 must be at least 2")
         theta = np.asarray(self.theta, dtype=float)
         if theta.shape != (self.n0, self.n0):
             raise ValueError(f"theta must be {self.n0}x{self.n0}")
@@ -91,12 +103,16 @@ class EmConfig:
     def __post_init__(self):
         if self.em_iters < 1 or self.grad_steps < 0:
             raise ValueError("iteration counts must be nonnegative (em_iters >= 1)")
+        if self.mcmc_samples is not None and self.mcmc_samples < 0:
+            raise ValueError("mcmc_samples must be nonnegative")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
 
 def smallest_power(n0: int, size: int) -> int:
     """Smallest k with n0**k >= size."""
+    if n0 < 2:
+        raise ValueError("n0 must be at least 2")
     k = 1
     while n0**k < size:
         k += 1
@@ -128,16 +144,6 @@ def kron_entry(model: KroneckerModel, a: int, b: int) -> float:
     return p
 
 
-def _entry_matrix(model: KroneckerModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Kronecker-power entries for all (rows[i], cols[j]) pairs, vectorized."""
-    dr = index_digits(rows, model.n0, model.k)
-    dc = index_digits(cols, model.n0, model.k)
-    out = np.ones((rows.size, cols.size))
-    for d in range(model.k):
-        out *= model.theta[dr[:, d][:, None], dc[None, :, d]]
-    return out
-
-
 def _edge_arrays(a_full) -> tuple[np.ndarray, np.ndarray]:
     us, vs = [], []
     for u, v in a_full.edges():
@@ -150,12 +156,61 @@ def _pair_count(n: int) -> float:
     return n * (n - 1) / 2.0
 
 
-def _dense_adjacency(a_full) -> np.ndarray:
-    a = np.zeros((a_full.n, a_full.n))
-    for u, v in a_full.edges():
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+def _pair_types(a_full, sigma: np.ndarray, n0: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupied pair types of the graph placed by sigma.
+
+    Returns (entries, pairs, edges). Row t of `entries` holds the flat theta
+    indices a*n0 + b of type t, one per digit, so each pair of that type has
+    probability prod(theta.flat[entries[t]]); pairs[t] and edges[t] count
+    the u < v node pairs and the edges of type t.
+    """
+    n, q = sigma.size, n0 * n0
+    dg = index_digits(sigma, n0, k)
+    count_code = (q - 1) * math.log2(k + 1) <= 53
+    if count_code:
+        # Each digit pair (a, b) adds (k+1)**(a*n0 + b) to the code, the last
+        # one nothing (its count is k minus the rest). Codes stay below 2**53,
+        # so the float64 product of one-hot digits x and weights y is exact.
+        space = (k + 1) ** (q - 1)
+        w = np.append((k + 1.0) ** np.arange(q - 1), 0.0).reshape(n0, n0)
+        x = np.zeros((n, k * n0))
+        x[np.arange(n)[:, None], np.arange(k) * n0 + dg] = 1.0
+        y = w[:, dg].transpose(1, 2, 0).reshape(n, k * n0)  # y[v, d*n0 + a] = w[a, dg[v, d]]
+    else:
+        # The k entries a*n0 + b in ascending order, read in base q: below
+        # q**k = (n0**k)**2, which int64 holds wherever the exact path runs.
+        space = q**k
+    dense = space <= _pair_count(n)
+    us, vs = _edge_arrays(a_full)  # sorted by u, with u < v
+    type_codes, type_pairs, edge_codes = [], [], []
+    for r0 in range(0, n - 1, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        if count_code:
+            codes = (x[r0:r1] @ y[r0:].T).astype(np.int64)
+        else:
+            codes = np.sort(dg[r0:r1, None, :] * n0 + dg[None, r0:, :], axis=2) @ q ** np.arange(k)
+        e0, e1 = np.searchsorted(us, [r0, r1])
+        edge_codes.append(codes[us[e0:e1] - r0, vs[e0:e1] - r0])
+        upper = codes[np.arange(r1 - r0)[:, None] < np.arange(n - r0)]
+        if dense:
+            counts = np.bincount(upper, minlength=space)
+            occupied = np.flatnonzero(counts)
+            counts = counts[occupied]
+        else:
+            occupied, counts = np.unique(upper, return_counts=True)
+        type_codes.append(occupied)
+        type_pairs.append(counts)
+        del codes, upper  # free this block before the next one is built
+    types, inverse = np.unique(np.concatenate(type_codes), return_inverse=True)
+    pairs = np.bincount(inverse, weights=np.concatenate(type_pairs))
+    edges = np.bincount(np.searchsorted(types, np.concatenate(edge_codes)), minlength=types.size)
+    if count_code:
+        counts = types[:, None] // (k + 1) ** np.arange(q - 1) % (k + 1)
+        counts = np.column_stack([counts, k - counts.sum(axis=1)])
+        entries = np.repeat(np.tile(np.arange(q), types.size), counts.ravel()).reshape(-1, k)
+    else:
+        entries = types[:, None] // q ** np.arange(k) % q
+    return entries, pairs, edges
 
 
 def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel) -> float:
@@ -164,10 +219,13 @@ def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel) -> 
     Sums over unordered node pairs u < v:
         a_uv * log p + (1 - a_uv) * log(1 - p),  p = [theta^k]_{sigma(u), sigma(v)}.
 
-    Exact over all pairs when n0**k <= EXACT_PAIR_LIMIT; otherwise the
-    zero-sum uses a second-order expansion of log(1-p) with the full-matrix
-    moment sums scaled to the mapped pair universe, corrected by an exact
-    sum over the edge pairs.
+    Exact when n0**k <= EXACT_PAIR_LIMIT: p depends only on the pair's type
+    t (the multiset of digit pairs of sigma(u), sigma(v)), so the sum is
+        sum_t E_t * log p_t + (A_t - E_t) * log(1 - p_t)
+    over the occupied types, with A_t pairs and E_t edges of type t.
+    Otherwise the zero-sum uses a second-order expansion of log(1-p) with
+    the full-matrix moment sums scaled to the mapped pair universe,
+    corrected by an exact sum over the edge pairs.
     """
     if len(mapping) != a_full.n:
         raise ValueError("mapping length must equal node count")
@@ -179,11 +237,9 @@ def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel) -> 
     sigma = mapping.sigma
 
     if model.num_indices <= EXACT_PAIR_LIMIT:
-        p = _entry_matrix(model, sigma, sigma)
-        a = _dense_adjacency(a_full)
-        iu = np.triu_indices(n, k=1)
-        pu, au = p[iu], a[iu]
-        return float(np.sum(au * np.log(pu) + (1.0 - au) * np.log1p(-pu)))
+        entries, pairs, edges = _pair_types(a_full, sigma, model.n0, model.k)
+        p = model.theta.ravel()[entries].prod(axis=1)
+        return float(np.sum(edges * np.log(p) + (pairs - edges) * np.log1p(-p)))
 
     us, vs = _edge_arrays(a_full)
     if us.size:
@@ -232,18 +288,14 @@ def kron_ll_gradient(a_full, mapping: NodeMapping, model: KroneckerModel) -> np.
     if n <= 1:
         return grad
     sigma = mapping.sigma
-    dg = index_digits(sigma, n0, k)
 
     if model.num_indices <= EXACT_PAIR_LIMIT:
-        p = _entry_matrix(model, sigma, sigma)
-        a = _dense_adjacency(a_full)
-        # Per-pair weight on d log(p)/d theta: 1 for edges, -p/(1-p) for non-edges.
-        w = np.where(a > 0, 1.0, -p / (1.0 - p))
-        w = np.triu(w, k=1)
-        for d in range(k):
-            onehot = np.eye(n0)[dg[:, d]]  # (n, n0)
-            grad += onehot.T @ w @ onehot
-        return grad / th
+        entries, pairs, edges = _pair_types(a_full, sigma, n0, k)
+        p = th.ravel()[entries].prod(axis=1)
+        # Per-type weight on d log(p)/d theta: 1 per edge, -p/(1-p) per non-edge.
+        w = edges - (pairs - edges) * p / (1.0 - p)
+        grad = np.bincount(entries.ravel(), weights=np.repeat(w, k), minlength=n0 * n0)
+        return grad.reshape(n0, n0) / th
 
     us, vs = _edge_arrays(a_full)
     if us.size:
@@ -312,7 +364,7 @@ def ascend_theta(
 class _SampledState:
     """Mutable EM state: current sigma placement and missing-block edges."""
 
-    def __init__(self, g_obs, m: int, nk: int, rng: np.random.Generator):
+    def __init__(self, g_obs, m: int, nk: int):
         self.n_obs = g_obs.n
         self.n = g_obs.n + m
         self.nk = nk
@@ -454,7 +506,7 @@ def kronem_fit(
     theta = _clamp(_symmetrize(np.asarray(theta_init, dtype=float)))
     model = KroneckerModel(n0=n0, theta=theta, k=k)
 
-    state = _SampledState(g_obs, m_missing, model.num_indices, rng)
+    state = _SampledState(g_obs, m_missing, model.num_indices)
     proposals = cfg.mcmc_samples if cfg.mcmc_samples is not None else 10 * n
     for _ in range(cfg.em_iters):
         if m_missing > 0:

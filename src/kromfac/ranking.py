@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from .completion import RecoveredGraph, as_graph
 from .graph import Graph
@@ -34,20 +33,16 @@ def degree_centrality(g: Graph, u: int) -> int:
     return g.degree(u)
 
 
-def select_influential(
-    rg: RecoveredGraph,
-    epsilon: float,
-    centrality: Callable[[Graph, int], float] = degree_centrality,
-) -> Ranking:
-    """Rank the recovered nodes by centrality in the fully recovered graph
-    and keep those meeting the threshold.
+def select_influential(rg: RecoveredGraph, epsilon: float) -> Ranking:
+    """Rank the recovered nodes by degree in the fully recovered graph and
+    keep those meeting the threshold.
 
     Ties break by ascending node id so the ranking is deterministic.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     full = as_graph(rg, rg.m)
-    cen = {u: centrality(full, u) for u in rg.recovered_ids}
+    cen = {u: degree_centrality(full, u) for u in rg.recovered_ids}
     kept = sorted(
         (u for u, c in cen.items() if c >= epsilon),
         key=lambda u: (-cen[u], u),

@@ -36,6 +36,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--em-iters", "0"), ("--grad-steps", "-1"), ("--max-iters", "0"), ("--threads", "0"),
+        ("--n0", "1"), ("--mcmc-samples", "-1"),
     ])
     def test_rejects_bad_count(self, tmp_path, capsys, flag, value):
         edges = two_cliques_file(tmp_path)
@@ -45,6 +46,16 @@ class TestUsageErrors:
         ]
         assert run_command(args) == 2
         assert f"{flag}: must be >=" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_complete_rejects_n0_below_two(self, tmp_path, capsys):
+        edges = two_cliques_file(tmp_path)
+        args = [
+            "complete", "--edges", str(edges), "--out", str(tmp_path / "o"),
+            "--missing", "2", "--seed", "0", "--n0", "0",
+        ]
+        assert run_command(args) == 2
+        assert "--n0: must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_accepts_smallest_counts(self):

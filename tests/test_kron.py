@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,85 @@ class TestLogLikelihood:
         assert ll2 == pytest.approx(ll1, rel=1e-12)
 
 
+def brute_force_terms(g, sigma, model):
+    """Log-likelihood and analytic gradient summed pair by pair over u < v,
+    with p read from the materialized Kronecker power (test oracle)."""
+    n0, k = model.n0, model.k
+    full = materialize(model)
+    ll = 0.0
+    grad = np.zeros((n0, n0))
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            p = full[sigma[u], sigma[v]]
+            a = g.has_edge(u, v)
+            ll += np.log(p) if a else np.log1p(-p)
+            w = 1.0 if a else -p / (1.0 - p)
+            for d in range(k):
+                grad[sigma[u] // n0**d % n0, sigma[v] // n0**d % n0] += w
+    return ll, grad / model.theta
+
+
+class TestPairTypeOracle:
+    """The exact path sums over pair types; the oracle sums over pairs."""
+
+    @pytest.mark.parametrize("n0, k, n, density", [
+        (2, 4, 12, 0.3),    # partial occupancy, fewer pairs than codes
+        (2, 5, 30, 0.2),    # more pairs than codes
+        (2, 9, 300, 0.02),  # two row blocks, edges crossing them
+        (3, 2, 9, 0.4),     # full occupancy
+        (3, 4, 60, 0.1),
+        (8, 2, 40, 0.2),    # (k+1)**(n0**2 - 1) overflows int64
+        (8, 2, 64, 0.1),
+    ])
+    def test_matches_pairwise_sum(self, n0, k, n, density):
+        rng = np.random.default_rng(n0 * 100 + n)
+        theta = rng.uniform(0.05, 0.95, (n0, n0))  # asymmetric
+        model = KroneckerModel(n0, theta, k)
+        sigma = rng.choice(n0**k, size=n, replace=False)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        self.check(Graph(n, edges), sigma, model)
+
+    @pytest.mark.parametrize("n0, k", [(2, 3), (3, 2), (8, 2)])
+    @pytest.mark.parametrize("complete", [False, True])
+    def test_edgeless_and_complete(self, n0, k, complete):
+        rng = np.random.default_rng(n0 + k)
+        n = min(n0**k, 12)
+        model = KroneckerModel(n0, rng.uniform(0.05, 0.95, (n0, n0)), k)
+        sigma = rng.choice(n0**k, size=n, replace=False)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)] if complete else []
+        self.check(Graph(n, edges), sigma, model)
+
+    @pytest.mark.parametrize("edges", [[], [(0, 1)]])
+    def test_two_nodes(self, edges):
+        model = KroneckerModel(3, np.array([[0.2, 0.7, 0.4], [0.1, 0.5, 0.9], [0.3, 0.6, 0.8]]), 2)
+        self.check(Graph(2, edges), np.array([7, 2]), model)
+
+    @staticmethod
+    def check(g, sigma, model):
+        mapping = NodeMapping(sigma, g.n)
+        ll, grad = brute_force_terms(g, sigma, model)
+        assert kron_log_likelihood(g, mapping, model) == pytest.approx(ll, rel=1e-12, abs=0)
+        np.testing.assert_allclose(kron_ll_gradient(g, mapping, model), grad, rtol=1e-12, atol=0)
+
+    def test_peak_memory_below_half_a_pair_matrix(self):
+        n, k = 2048, 11
+        rng = np.random.default_rng(5)
+        us = rng.integers(n, size=9000)
+        vs = rng.integers(n, size=9000)
+        g = Graph(n, [(int(u), int(v)) for u, v in zip(us, vs) if u != v])
+        model = KroneckerModel(2, np.array([[0.9, 0.6], [0.5, 0.2]]), k)
+        mapping = NodeMapping(rng.permutation(n), n)
+        limit = n * n * 8 // 2
+        for fn in (kron_log_likelihood, kron_ll_gradient):
+            tracemalloc.start()
+            try:
+                fn(g, mapping, model)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, f"{fn.__name__} peaked at {peak} bytes"
+
+
 class TestGradient:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_finite_differences(self, seed):
@@ -172,6 +253,19 @@ class TestAscendTheta:
             lls.append(kron_log_likelihood(g, mapping, cur))
         for a, b in zip(lls, lls[1:]):
             assert b >= a - 1e-9
+
+
+class TestValidation:
+    def test_n0_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            smallest_power(1, 5)
+        with pytest.raises(ValueError):
+            KroneckerModel(1, np.array([[0.5]]), 3)
+
+    def test_negative_mcmc_samples_rejected(self):
+        with pytest.raises(ValueError):
+            EmConfig(mcmc_samples=-1)
+        assert EmConfig(mcmc_samples=0).mcmc_samples == 0
 
 
 class TestKronemFit:
