@@ -12,15 +12,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .community import Cover, DetectConfig
 from .evaluation import SampleSpec, nmi, run_experiment
 from .graph import NodeIdMap, load_edge_list, write_edge_list
-from .kron import EmConfig, kronem_fit, random_theta_init
-from .completion import realize_missing
-from .pipeline import AUTO, KromfacConfig, baseline1, baseline2, detect_seed, kromfac, subseed
-from .pipeline import _SEED_EM, _SEED_REALIZE, _SEED_THETA_INIT
+from .kron import EmConfig
+from .pipeline import AUTO, KromfacConfig, baseline1, baseline2, complete, detect_seed, kromfac, subseed
 
 
 def _threshold(value: str) -> float | str:
@@ -84,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_abs", type=float, default=None,
                    help="absolute lambda override")
     p.add_argument("--no-i0", action="store_true", help="exclude i=0 from the search")
-    p.add_argument("--threads", type=_count(1), default=1)
 
     p = sub.add_parser("baseline1", help="detection on the observed graph only")
     _add_common(p)
@@ -126,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-coef", type=float, default=10.0)
     p.add_argument("--lambda", dest="lambda_abs", type=float, default=None)
     p.add_argument("--no-i0", action="store_true")
-    p.add_argument("--threads", type=_count(1), default=1)
 
     return parser
 
@@ -144,13 +138,13 @@ def _load_graph(path: str):
         return load_edge_list(f)
 
 
-def _em_config(args, seed: int) -> EmConfig:
+def _em_config(args) -> EmConfig:
+    """EM settings from the flags; `complete` derives the EM seed."""
     return EmConfig(
         em_iters=args.em_iters,
         mcmc_samples=args.mcmc_samples,
         grad_steps=args.grad_steps,
         learning_rate=args.learning_rate,
-        seed=seed,
     )
 
 
@@ -158,19 +152,18 @@ def _detect_config(args, seed: int = 0) -> DetectConfig:
     return DetectConfig(eta_detect=args.eta_detect, max_iters=args.max_iters, seed=seed)
 
 
-def _kromfac_config(args, seed: int) -> KromfacConfig:
+def _kromfac_config(args, m: int, seed: int) -> KromfacConfig:
     return KromfacConfig(
-        m=args.missing,
+        m=m,
         c=args.communities,
         n0=args.n0,
         lambda_coef=args.lambda_coef,
         lambda_abs=args.lambda_abs,
         epsilon=args.epsilon,
         delta=args.delta,
-        em=_em_config(args, 0),
+        em=_em_config(args),
         detect=_detect_config(args),
         include_i0=not args.no_i0,
-        threads=getattr(args, "threads", 1),
         seed=seed,
     )
 
@@ -196,7 +189,7 @@ def _cover_text(cover: Cover, id_map: NodeIdMap) -> str:
 def _cmd_detect(args) -> int:
     seed = _resolve_seed(args)
     g, id_map = _load_graph(args.edges)
-    cover, trace = kromfac(g, _kromfac_config(args, seed))
+    cover, trace = kromfac(g, _kromfac_config(args, args.missing, seed))
     out = Path(args.out)
     _write(out, "cover.txt", _cover_text(cover, id_map))
     _write(out, "trace.json", trace.to_json() + "\n")
@@ -221,7 +214,7 @@ def _cmd_baseline2(args) -> int:
         c=args.communities,
         n0=args.n0,
         delta=args.delta,
-        em=_em_config(args, 0),
+        em=_em_config(args),
         detect=_detect_config(args),
         seed=seed,
     )
@@ -234,10 +227,7 @@ def _cmd_baseline2(args) -> int:
 def _cmd_complete(args) -> int:
     seed = _resolve_seed(args)
     g, _ = _load_graph(args.edges)
-    theta_init = random_theta_init(args.n0, np.random.default_rng(subseed(seed, _SEED_THETA_INIT)))
-    em = _em_config(args, subseed(seed, _SEED_EM))
-    model, mapping = kronem_fit(g, args.missing, args.n0, theta_init, em)
-    rg = realize_missing(g, model, mapping, args.missing, subseed(seed, _SEED_REALIZE))
+    model, mapping, rg = complete(g, args.missing, args.n0, _em_config(args), seed)
     out = Path(args.out)
     _write(out, "theta.json", model.to_json() + "\n")
     _write(out, "mapping.json", mapping.to_json() + "\n")
@@ -304,8 +294,8 @@ def _cmd_experiment(args) -> int:
         p_forward=args.p_forward,
         seed=subseed(seed, 50),
     )
-    args.missing = 0  # replaced by the sampler's deletion count inside run_experiment
-    report = run_experiment(g, truth, spec, _kromfac_config(args, seed))
+    # m=0 is a placeholder: run_experiment sets m to the sampler's deletion count.
+    report = run_experiment(g, truth, spec, _kromfac_config(args, 0, seed))
     out = Path(args.out)
     _write(out, "report.json", report.to_json() + "\n")
     rows = ["i,loss,reg_loss"]

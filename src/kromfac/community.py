@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, neighbour_arrays
 
 # Inner products are floored inside log(1 - exp(-.)) so degenerate
 # memberships cannot produce -inf.
@@ -55,13 +54,6 @@ class Cover:
             tuple(frozenset(u for u in com if u < limit) for com in self.communities),
             min(self.universe, limit),
         )
-
-    def write(self, sink: TextIO, id_map=None) -> None:
-        for com in self.communities:
-            ids = sorted(com)
-            if id_map is not None:
-                ids = [id_map.external(u) for u in ids]
-            sink.write(" ".join(str(u) for u in ids) + "\n")
 
     @classmethod
     def read(cls, source: Iterable[str], id_map=None, universe: int | None = None) -> "Cover":
@@ -105,20 +97,8 @@ def _log1mexp(s: np.ndarray) -> np.ndarray:
     return np.log(-np.expm1(-np.maximum(s, DOT_FLOOR)))
 
 
-def _neighbour_arrays(g: Graph) -> tuple[np.ndarray, ...]:
-    """CSR neighbour slices of g (the neighbours of u are
-    indices[indptr[u]:indptr[u+1]]) and the endpoints (eu, ev) of each
-    edge once, u < v, sorted by (u, v)."""
-    indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum([len(a) for a in g.adjacency], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(indptr[-1]))
-    eu = np.repeat(np.arange(g.n, dtype=np.intp), np.diff(indptr))
-    keep = eu < indices
-    return indptr, indices, eu[keep], indices[keep]
-
-
 def _log_likelihood(f: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> float:
-    """agm_log_likelihood from the edge endpoints of _neighbour_arrays."""
+    """agm_log_likelihood from the edge endpoints of neighbour_arrays."""
     edge_dots = np.einsum("ij,ij->i", f[eu], f[ev])
     edge_term = float(np.sum(_log1mexp(edge_dots)))
     total = np.sum(f, axis=0)
@@ -140,7 +120,7 @@ def agm_log_likelihood(g: Graph, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape[0] != g.n:
         raise ValueError("F row count must match node count")
-    return _log_likelihood(f, *_neighbour_arrays(g)[2:])
+    return _log_likelihood(f, *neighbour_arrays(g)[2:])
 
 
 def loss(g: Graph, f: np.ndarray) -> float:
@@ -208,7 +188,7 @@ def commun_det(g: Graph, c: int, cfg: DetectConfig = DetectConfig()) -> DetectRe
     if c < 1 or g.n < 1:
         raise ValueError("need c >= 1 and a nonempty graph")
     f = init_affiliations(g, c, cfg.seed)
-    indptr, indices, eu, ev = _neighbour_arrays(g)
+    indptr, indices, eu, ev = neighbour_arrays(g)
     total = np.sum(f, axis=0)
     prev_loss = -_log_likelihood(f, eu, ev)
     converged = False

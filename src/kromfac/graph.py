@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -28,10 +31,6 @@ class NodeIdMap:
 
     to_internal: dict
     to_external: list
-
-    @classmethod
-    def identity(cls, n: int) -> "NodeIdMap":
-        return cls({i: i for i in range(n)}, list(range(n)))
 
     def external(self, internal_id: int):
         return self.to_external[internal_id]
@@ -87,6 +86,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def neighbour_arrays(g: Graph) -> tuple[np.ndarray, ...]:
+    """CSR neighbour slices of g (the neighbours of u are
+    indices[indptr[u]:indptr[u+1]]) and the endpoints (eu, ev) of each
+    edge once, u < v, sorted by (u, v)."""
+    indptr = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum([len(a) for a in g.adjacency], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(indptr[-1]))
+    eu = np.repeat(np.arange(g.n, dtype=np.intp), np.diff(indptr))
+    keep = eu < indices
+    return indptr, indices, eu[keep], indices[keep]
 
 
 def load_edge_list(source: Iterable[str] | TextIO) -> tuple[Graph, NodeIdMap]:

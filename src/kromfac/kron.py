@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .graph import Graph, neighbour_arrays
+
 THETA_FLOOR = 1e-4
 THETA_CEIL = 1.0 - 1e-4
 
@@ -144,14 +146,6 @@ def kron_entry(model: KroneckerModel, a: int, b: int) -> float:
     return p
 
 
-def _edge_arrays(a_full) -> tuple[np.ndarray, np.ndarray]:
-    us, vs = [], []
-    for u, v in a_full.edges():
-        us.append(u)
-        vs.append(v)
-    return np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
-
-
 def _pair_count(n: int) -> float:
     return n * (n - 1) / 2.0
 
@@ -181,7 +175,7 @@ def _pair_types(a_full, sigma: np.ndarray, n0: int, k: int) -> tuple[np.ndarray,
         # q**k = (n0**k)**2, which int64 holds wherever the exact path runs.
         space = q**k
     dense = space <= _pair_count(n)
-    us, vs = _edge_arrays(a_full)  # sorted by u, with u < v
+    us, vs = neighbour_arrays(a_full)[2:]  # sorted by u, with u < v
     type_codes, type_pairs, edge_codes = [], [], []
     for r0 in range(0, n - 1, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, n)
@@ -241,7 +235,7 @@ def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel) -> 
         p = model.theta.ravel()[entries].prod(axis=1)
         return float(np.sum(edges * np.log(p) + (pairs - edges) * np.log1p(-p)))
 
-    us, vs = _edge_arrays(a_full)
+    us, vs = neighbour_arrays(a_full)[2:]
     if us.size:
         pe = _pair_entries(model, sigma[us], sigma[vs])
         edge_log = float(np.sum(np.log(pe)))
@@ -297,7 +291,7 @@ def kron_ll_gradient(a_full, mapping: NodeMapping, model: KroneckerModel) -> np.
         grad = np.bincount(entries.ravel(), weights=np.repeat(w, k), minlength=n0 * n0)
         return grad.reshape(n0, n0) / th
 
-    us, vs = _edge_arrays(a_full)
+    us, vs = neighbour_arrays(a_full)[2:]
     if us.size:
         pe = _pair_entries(model, sigma[us], sigma[vs])
         du = index_digits(sigma[us], n0, k)
@@ -385,9 +379,7 @@ class _SampledState:
             row[v] = 1.0
         return row
 
-    def as_graph(self):
-        from .graph import Graph
-
+    def as_graph(self) -> Graph:
         edges = []
         for u in range(self.n):
             for v in self.neighbors(u):

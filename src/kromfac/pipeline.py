@@ -1,18 +1,23 @@
-"""KroMFac driver: completion, ranking, regularized search over the
-number of inserted nodes, and the two baselines."""
+"""KroMFac driver and the two baselines.
+
+The pipeline has three stages: `complete` (fit the Kronecker model by EM
+and realize the missing part), rank (degree ranking of the recovered
+nodes), then search (detection on N+i nodes for each candidate i, picked
+by regularized loss). `baseline2` reuses `complete`; `baseline1` detects
+on the observed graph alone.
+"""
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .community import Cover, DetectConfig, DetectResult, commun_det, default_delta, hard_decision
+from .community import Cover, DetectConfig, commun_det, default_delta, hard_decision
 from .completion import RecoveredGraph, as_graph, realize_missing
 from .graph import Graph
-from .kron import EmConfig, kronem_fit, random_theta_init
+from .kron import EmConfig, KroneckerModel, NodeMapping, kronem_fit, random_theta_init
 from .ranking import Ranking, default_epsilon, select_influential
 
 AUTO = "auto"
@@ -46,7 +51,6 @@ class KromfacConfig:
     em: EmConfig = field(default_factory=EmConfig)
     detect: DetectConfig = field(default_factory=DetectConfig)
     include_i0: bool = True
-    threads: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -107,64 +111,61 @@ def kromfac(g_obs: Graph, cfg: KromfacConfig) -> tuple[Cover, SearchTrace]:
     """Run the full pipeline: fit the Kronecker model, realize the missing
     part, rank influential nodes, search i by regularized loss, and
     hard-decide the cover from the best affiliation matrix."""
-    n = g_obs.n
-    lam = cfg.resolve_lambda(n)
-
+    lam = cfg.resolve_lambda(g_obs.n)
     rg, ranking = _recover_and_rank(g_obs, cfg)
     candidates = ([0] if cfg.include_i0 else []) + list(range(1, ranking.h + 1))
-    degenerate = False
     if not candidates:
         raise ValueError(
             "no candidates to search: H=0 and i=0 excluded (set include_i0)"
         )
-    if ranking.h == 0:
-        degenerate = True
-
-    def run_candidate(i: int) -> tuple[int, Graph, DetectResult]:
-        gi = as_graph(rg, i, ranking.order)
-        det = replace(cfg.detect, seed=detect_seed(cfg.seed, i))
-        return i, gi, commun_det(gi, cfg.c, det)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_candidate, candidates))
-    else:
-        results = [run_candidate(i) for i in candidates]
-    results.sort(key=lambda r: r[0])
 
     entries = []
     best = None
-    for i, gi, res in results:
+    for i in candidates:
+        gi = as_graph(rg, i, ranking.order)
+        res = commun_det(gi, cfg.c, replace(cfg.detect, seed=detect_seed(cfg.seed, i)))
         reg = regularized_loss(res.loss, i, lam)
         entries.append(TraceEntry(i=i, loss=res.loss, reg_loss=reg, converged=res.converged))
         if best is None or reg < best[0]:
             best = (reg, i, gi, res)
 
     _, i_hat, g_hat, res_hat = best
-    delta = cfg.delta
-    if delta == AUTO:
-        delta = default_delta(g_hat) if g_hat.n >= 2 else 1.0
-    cover = hard_decision(res_hat.f, delta)
+    cover = hard_decision(res_hat.f, resolve_delta(cfg.delta, g_hat))
     trace = SearchTrace(
         lambda_value=lam,
         h=ranking.h,
         entries=tuple(entries),
         i_hat=i_hat,
-        degenerate=degenerate,
+        degenerate=ranking.h == 0,
     )
     return cover, trace
 
 
+def resolve_delta(delta: float | str, g: Graph) -> float:
+    """The membership threshold for a cover of g: `delta` itself, or for
+    AUTO default_delta(g), falling back to 1.0 when g has fewer than two
+    nodes."""
+    if delta != AUTO:
+        return delta
+    return default_delta(g) if g.n >= 2 else 1.0
+
+
+def complete(
+    g_obs: Graph, m: int, n0: int, em: EmConfig, seed: int
+) -> tuple[KroneckerModel, NodeMapping, RecoveredGraph]:
+    """Fit the Kronecker model to g_obs with m missing nodes and realize
+    the missing part; every random draw comes from a sub-seed of `seed`
+    (em.seed is replaced)."""
+    theta_init = random_theta_init(n0, np.random.default_rng(subseed(seed, _SEED_THETA_INIT)))
+    em = replace(em, seed=subseed(seed, _SEED_EM))
+    model, mapping = kronem_fit(g_obs, m, n0, theta_init, em)
+    rg = realize_missing(g_obs, model, mapping, m, subseed(seed, _SEED_REALIZE))
+    return model, mapping, rg
+
+
 def _recover_and_rank(g_obs: Graph, cfg: KromfacConfig) -> tuple[RecoveredGraph, Ranking]:
-    theta_init = random_theta_init(
-        cfg.n0, np.random.default_rng(subseed(cfg.seed, _SEED_THETA_INIT))
-    )
-    em = replace(cfg.em, seed=subseed(cfg.seed, _SEED_EM))
-    model, mapping = kronem_fit(g_obs, cfg.m, cfg.n0, theta_init, em)
-    rg = realize_missing(g_obs, model, mapping, cfg.m, subseed(cfg.seed, _SEED_REALIZE))
-    eps = cfg.epsilon
-    if eps == AUTO:
-        eps = default_epsilon(rg) if rg.base.n + rg.m > 0 else 0.0
+    _, _, rg = complete(g_obs, cfg.m, cfg.n0, cfg.em, cfg.seed)
+    eps = default_epsilon(rg) if cfg.epsilon == AUTO else cfg.epsilon
     if eps <= 0:
         # Edgeless recovered graph: no node can qualify.
         ranking = Ranking(h=0, order=(), centrality={u: 0 for u in rg.recovered_ids}, epsilon=eps)
@@ -181,23 +182,12 @@ def baseline1(
 ) -> Cover:
     """Detection on the observed graph only: no completion, no search."""
     res = commun_det(g_obs, c, detect)
-    if delta == AUTO:
-        delta = default_delta(g_obs) if g_obs.n >= 2 else 1.0
-    return hard_decision(res.f, delta)
+    return hard_decision(res.f, resolve_delta(delta, g_obs))
 
 
 def baseline2(g_obs: Graph, cfg: KromfacConfig) -> Cover:
     """Detection on the fully completed graph (i = M, no selection)."""
-    theta_init = random_theta_init(
-        cfg.n0, np.random.default_rng(subseed(cfg.seed, _SEED_THETA_INIT))
-    )
-    em = replace(cfg.em, seed=subseed(cfg.seed, _SEED_EM))
-    model, mapping = kronem_fit(g_obs, cfg.m, cfg.n0, theta_init, em)
-    rg = realize_missing(g_obs, model, mapping, cfg.m, subseed(cfg.seed, _SEED_REALIZE))
+    _, _, rg = complete(g_obs, cfg.m, cfg.n0, cfg.em, cfg.seed)
     g_full = as_graph(rg, cfg.m)
-    det = replace(cfg.detect, seed=detect_seed(cfg.seed, cfg.m))
-    res = commun_det(g_full, cfg.c, det)
-    delta = cfg.delta
-    if delta == AUTO:
-        delta = default_delta(g_full) if g_full.n >= 2 else 1.0
-    return hard_decision(res.f, delta)
+    res = commun_det(g_full, cfg.c, replace(cfg.detect, seed=detect_seed(cfg.seed, cfg.m)))
+    return hard_decision(res.f, resolve_delta(cfg.delta, g_full))

@@ -1,7 +1,6 @@
 """Degree-centrality ranking of recovered nodes."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .completion import RecoveredGraph, as_graph
@@ -14,16 +13,6 @@ class Ranking:
     order: tuple[int, ...]  # recovered-node ids, descending centrality
     centrality: dict[int, int]
     epsilon: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epsilon": self.epsilon,
-                "h": self.h,
-                "order": list(self.order),
-                "centrality": {str(k): v for k, v in sorted(self.centrality.items())},
-            }
-        )
 
 
 def degree_centrality(g: Graph, u: int) -> int:

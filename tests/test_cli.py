@@ -1,9 +1,12 @@
+import io
 import json
 
 import pytest
 
 from kromfac.cli import build_parser, run_command
 from kromfac.graph import load_edge_list
+from kromfac.kron import EmConfig
+from kromfac.pipeline import complete
 
 FAST_EM = ["--em-iters", "2", "--grad-steps", "4", "--mcmc-samples", "40"]
 FAST_DETECT = ["--max-iters", "40"]
@@ -35,7 +38,7 @@ class TestUsageErrors:
         assert run_command(["--help"]) == 0
 
     @pytest.mark.parametrize("flag, value", [
-        ("--em-iters", "0"), ("--grad-steps", "-1"), ("--max-iters", "0"), ("--threads", "0"),
+        ("--em-iters", "0"), ("--grad-steps", "-1"), ("--max-iters", "0"),
         ("--n0", "1"), ("--mcmc-samples", "-1"),
     ])
     def test_rejects_bad_count(self, tmp_path, capsys, flag, value):
@@ -61,9 +64,19 @@ class TestUsageErrors:
     def test_accepts_smallest_counts(self):
         args = build_parser().parse_args([
             "detect", "--edges", "g.txt", "--communities", "2", "--missing", "2",
-            "--em-iters", "1", "--grad-steps", "0", "--max-iters", "1", "--threads", "1",
+            "--em-iters", "1", "--grad-steps", "0", "--max-iters", "1",
         ])
-        assert (args.em_iters, args.grad_steps, args.max_iters, args.threads) == (1, 0, 1, 1)
+        assert (args.em_iters, args.grad_steps, args.max_iters) == (1, 0, 1)
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        edges = two_cliques_file(tmp_path)
+        args = [
+            "detect", "--edges", str(edges), "--out", str(tmp_path / "o"),
+            "--communities", "2", "--missing", "2", "--seed", "0", "--threads", "2",
+        ]
+        assert run_command(args) == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRuntimeErrors:
@@ -184,6 +197,24 @@ class TestComplete:
         assert (out / "mapping.json").exists()
         text = (out / "recovered.txt").read_text()
         assert "#BASE" in text and "#Z1" in text and "#Z2" in text
+
+    def test_artifacts_match_complete(self, tmp_path):
+        edges = two_cliques_file(tmp_path)
+        out = tmp_path / "c"
+        code = run_command([
+            "complete", "--edges", str(edges), "--out", str(out),
+            "--missing", "2", "--seed", "7", *FAST_EM,
+        ])
+        assert code == 0
+        with open(edges, encoding="utf-8") as f:
+            g, _ = load_edge_list(f)
+        em = EmConfig(em_iters=2, grad_steps=4, mcmc_samples=40)
+        model, mapping, rg = complete(g, 2, 2, em, 7)
+        buf = io.StringIO()
+        rg.write(buf)
+        assert (out / "theta.json").read_text() == model.to_json() + "\n"
+        assert (out / "mapping.json").read_text() == mapping.to_json() + "\n"
+        assert (out / "recovered.txt").read_text() == buf.getvalue()
 
 
 class TestEval:

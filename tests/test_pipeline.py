@@ -4,16 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kromfac.community import DetectConfig
+from kromfac.community import Cover, DetectConfig, commun_det, default_delta, hard_decision
+from kromfac.completion import as_graph
 from kromfac.graph import Graph
 from kromfac.kron import EmConfig
 from kromfac.pipeline import (
+    AUTO,
     KromfacConfig,
     baseline1,
     baseline2,
+    complete,
     detect_seed,
     kromfac,
     regularized_loss,
+    resolve_delta,
 )
 
 FAST_EM = EmConfig(em_iters=3, grad_steps=5, mcmc_samples=50)
@@ -96,13 +100,6 @@ class TestKromfac:
         assert c1 == c2
         assert t1 == t2
 
-    def test_threads_match_sequential(self):
-        g = community_graph(4)
-        cfg = small_cfg(5, 2, seed=7)
-        c1, t1 = kromfac(g, cfg)
-        c2, t2 = kromfac(g, replace(cfg, threads=4))
-        assert c1 == c2 and t1.entries == t2.entries
-
     def test_h_zero_without_i0_is_an_error(self):
         g = two_cliques()
         cfg = small_cfg(0, 2, include_i0=False)
@@ -145,3 +142,45 @@ class TestBaselines:
         g = community_graph(6)
         cfg = small_cfg(4, 2, seed=11)
         assert baseline2(g, cfg).universe == g.n + 4
+
+    def test_baseline2_is_detection_on_completed_graph(self):
+        g = community_graph(6)
+        cfg = small_cfg(4, 2, seed=7)
+        _, _, rg = complete(g, cfg.m, cfg.n0, cfg.em, cfg.seed)
+        g_full = as_graph(rg, cfg.m)
+        res = commun_det(g_full, cfg.c, replace(cfg.detect, seed=detect_seed(cfg.seed, cfg.m)))
+        expected = hard_decision(res.f, resolve_delta(cfg.delta, g_full))
+        assert baseline2(g, cfg) == expected
+
+
+class TestComplete:
+    def test_em_seed_is_derived_from_master_seed(self):
+        g = community_graph(7)
+        a = complete(g, 3, 2, FAST_EM, 5)
+        b = complete(g, 3, 2, replace(FAST_EM, seed=99), 5)
+        assert np.array_equal(a[0].theta, b[0].theta)
+        assert np.array_equal(a[1].sigma, b[1].sigma)
+        assert a[2] == b[2]
+
+
+class TestResolveDelta:
+    def test_explicit_value_passes_through(self):
+        assert resolve_delta(0.3, Graph(1, [])) == 0.3
+
+    def test_auto_uses_default_delta(self):
+        g = two_cliques()
+        assert resolve_delta(AUTO, g) == default_delta(g)
+
+    def test_auto_below_two_nodes_is_one(self):
+        assert resolve_delta(AUTO, Graph(1, [])) == 1.0
+        assert resolve_delta(AUTO, Graph(0, [])) == 1.0
+
+    def test_single_node_graph_gives_one_empty_community(self):
+        g = Graph(1, [])
+        empty = Cover((frozenset(),), 1)
+        cfg = small_cfg(0, 1, seed=2)
+        assert baseline1(g, 1) == empty
+        assert baseline2(g, cfg) == empty
+        cover, trace = kromfac(g, cfg)
+        assert cover == empty
+        assert trace.i_hat == 0
