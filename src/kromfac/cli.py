@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predicted cover file")
     p.add_argument("--truth", required=True, help="ground-truth cover file")
     p.add_argument("--universe", type=int, default=None,
-                   help="node-universe size (default: max id + 1 across both covers)")
+                   help="node-universe size (default: max id + 1 across both covers; "
+                        "with non-integer labels, the number of distinct labels)")
     p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("experiment", help="sample, run all methods, and report NMIs")
@@ -265,12 +266,31 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _cmd_eval(args) -> int:
-    with open(args.pred, encoding="utf-8") as f:
-        pred = Cover.read(f)
-    with open(args.truth, encoding="utf-8") as f:
-        truth = Cover.read(f)
+    texts = []
+    for path in (args.pred, args.truth):
+        with open(path, encoding="utf-8") as f:
+            texts.append(f.read().splitlines())
+    tokens = [
+        tok for lines in texts for line in lines
+        if not line.strip().startswith("#") for tok in line.split()
+    ]
     universe = args.universe
+    id_map = None
+    if not all(_is_int(tok) for tok in tokens):
+        # Labels that are not all integers go through one table shared by both files.
+        labels = list(dict.fromkeys(tokens))
+        id_map = NodeIdMap({label: i for i, label in enumerate(labels)}, labels)
+        universe = max(len(labels), universe or 0)
+    pred, truth = (Cover.read(lines, id_map=id_map) for lines in texts)
     if universe is None:
         universe = max(pred.universe, truth.universe)
     pred = Cover(pred.communities, universe)

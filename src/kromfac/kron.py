@@ -356,12 +356,20 @@ def ascend_theta(
 
 
 class _SampledState:
-    """Mutable EM state: current sigma placement and missing-block edges."""
+    """Mutable EM state: current sigma placement and missing-block edges.
 
-    def __init__(self, g_obs, m: int, nk: int):
+    `digits` is the digit table of the whole index space: column t holds
+    the k base-n0 digits of index t, least significant first (k x nk int64,
+    at most k * n0 * (N + M) entries, built once per fit). The E-step reads
+    the digits of any placement from it instead of recomputing them per
+    row; digit d of every column sits in one contiguous row.
+    """
+
+    def __init__(self, g_obs, m: int, n0: int, k: int):
         self.n_obs = g_obs.n
         self.n = g_obs.n + m
-        self.nk = nk
+        self.nk = n0**k
+        self.digits = np.ascontiguousarray(index_digits(np.arange(self.nk), n0, k).T)
         self.sigma = np.arange(self.n, dtype=np.int64)
         self.obs_neighbors = [set(a) for a in g_obs.adjacency]
         # Missing-block adjacency: neighbor sets for every node, edges with
@@ -388,6 +396,17 @@ class _SampledState:
         return Graph(self.n, edges)
 
 
+def _row_entries(state: _SampledState, model: KroneckerModel, row: int, cols: np.ndarray) -> np.ndarray:
+    """Entries (row, cols[i]) of theta^k from the digit table, multiplied
+    digit by digit in _pair_entries' order, so the values are the same bits."""
+    du = state.digits[:, row]
+    dc = state.digits[:, cols]
+    out = model.theta[du[0]][dc[0]]
+    for d in range(1, model.k):
+        out *= model.theta[du[d]][dc[d]]
+    return out
+
+
 def _resample_missing(state: _SampledState, model: KroneckerModel, rng: np.random.Generator) -> None:
     """Gibbs resample of the missing-block edge states given theta and sigma."""
     n, n_obs = state.n, state.n_obs
@@ -398,9 +417,7 @@ def _resample_missing(state: _SampledState, model: KroneckerModel, rng: np.rando
         if lo >= n:
             continue
         cols = np.arange(lo, n)
-        p = _pair_entries(
-            model, np.full(cols.size, state.sigma[u]), state.sigma[cols]
-        )
+        p = _row_entries(state, model, state.sigma[u], state.sigma[cols])
         hits = cols[rng.random(cols.size) < p]
         for v in hits:
             state.missing_neighbors[u].add(int(v))
@@ -411,9 +428,7 @@ def _row_loglik(state: _SampledState, model: KroneckerModel, u: int, sigma_u: in
     """Likelihood contribution of all pairs containing position u, with u
     placed at index sigma_u (other positions at state.sigma)."""
     others = np.concatenate([np.arange(u), np.arange(u + 1, state.n)])
-    p = _pair_entries(
-        model, np.full(others.size, sigma_u), state.sigma[others]
-    )
+    p = _row_entries(state, model, sigma_u, state.sigma[others])
     row = state.adjacency_row(u)[others]
     return float(np.sum(row * np.log(p) + (1.0 - row) * np.log1p(-p)))
 
@@ -498,7 +513,7 @@ def kronem_fit(
     theta = _clamp(_symmetrize(np.asarray(theta_init, dtype=float)))
     model = KroneckerModel(n0=n0, theta=theta, k=k)
 
-    state = _SampledState(g_obs, m_missing, model.num_indices)
+    state = _SampledState(g_obs, m_missing, n0, k)
     proposals = cfg.mcmc_samples if cfg.mcmc_samples is not None else 10 * n
     for _ in range(cfg.em_iters):
         if m_missing > 0:

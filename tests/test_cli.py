@@ -239,6 +239,49 @@ class TestEval:
         assert 0.0 <= score <= 1.0
 
 
+    def eval_out(self, capsys, pred, truth, *extra):
+        assert run_command(["eval", "--pred", str(pred), "--truth", str(truth), *extra]) == 0
+        return capsys.readouterr().out
+
+    def test_detect_then_eval_with_string_labels(self, tmp_path, capsys):
+        labels = "abcdefgh"
+        edges = tmp_path / "g.txt"
+        edges.write_text(
+            "".join(
+                f"{labels[base + u]} {labels[base + v]}\n"
+                for base in (0, 4) for u in range(4) for v in range(u + 1, 4)
+            ),
+            encoding="utf-8",
+        )
+        truth = tmp_path / "truth.txt"
+        truth.write_text("a b c d\ne f g h\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run_command([
+            "detect", "--edges", str(edges), "--out", str(out), "--communities", "2",
+            "--missing", "2", "--seed", "3", *FAST_DETECT, *FAST_EM,
+        ]) == 0
+        capsys.readouterr()
+        score = float(self.eval_out(capsys, out / "cover.txt", truth).split("nmi=")[1])
+        assert 0.0 <= score <= 1.0
+        assert self.eval_out(capsys, truth, truth) == "eval: nmi=1.000000\n"
+
+    def test_label_universe(self, tmp_path, capsys):
+        # Labels share one table across both files; the universe is the
+        # number of distinct labels, or --universe if that is larger.
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("x rec7\n", encoding="utf-8")
+        b.write_text("x rec7\nz w\n", encoding="utf-8")
+        ia, ib = tmp_path / "ia.txt", tmp_path / "ib.txt"
+        ia.write_text("0 1\n", encoding="utf-8")
+        ib.write_text("0 1\n2 3\n", encoding="utf-8")
+        assert self.eval_out(capsys, a, b) == self.eval_out(capsys, ia, ib)
+        assert self.eval_out(capsys, a, b, "--universe", "2") == self.eval_out(capsys, ia, ib)
+        assert (
+            self.eval_out(capsys, a, b, "--universe", "6")
+            == self.eval_out(capsys, ia, ib, "--universe", "6")
+        )
+
+
 class TestExperiment:
     def test_report_and_determinism(self, tmp_path):
         edges = two_cliques_file(tmp_path, size=5)

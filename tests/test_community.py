@@ -92,6 +92,33 @@ def reference_pass(g, f, step_init):
     return f
 
 
+def line_search_halvings(g, f, step_init):
+    """Replay reference_pass and return, per row, the number of halvings
+    before the accepted step (None when all 10 trials are rejected), with
+    the F the pass ends at."""
+    f = f.copy()
+    total = np.sum(f, axis=0)
+    halvings = []
+    for u in range(g.n):
+        nbr = g.adjacency[u]
+        nbr_rows = f[nbr] if nbr else np.empty((0, f.shape[1]))
+        total_other = total - f[u]
+        grad = reference_row_gradient(f, u, nbr, total)
+        base = reference_row_objective(f[u], nbr_rows, total_other)
+        step = step_init
+        accepted = None
+        for j in range(10):
+            cand = np.maximum(f[u] + step * grad, 0.0)
+            if reference_row_objective(cand, nbr_rows, total_other) >= base:
+                total += cand - f[u]
+                f[u] = cand
+                accepted = j
+                break
+            step /= 2.0
+        halvings.append(accepted)
+    return halvings, f
+
+
 def with_isolated_node(g):
     """g plus one node with no neighbours (an empty neighbour slice)."""
     return Graph(g.n + 1, g.edges())
@@ -136,6 +163,23 @@ class TestVectorizedOracle:
             cfg = DetectConfig(seed=seed, max_iters=1)
             expect = reference_pass(g, init_affiliations(g, 3, seed), cfg.step_init)
             assert rel_err(commun_det(g, 3, cfg).f, expect) <= 1e-10
+
+
+    def test_one_pass_matches_late_and_rejected_line_searches(self):
+        # A large first step on a sparse graph with c=2: some rows accept
+        # only after 5 or more halvings, others reject all 10 trials.
+        g = random_graph(60, 0.1, 82)
+        late = rejected = 0
+        for seed in range(2):
+            cfg = DetectConfig(seed=seed, max_iters=1, step_init=10.0)
+            f0 = init_affiliations(g, 2, seed)
+            expect = reference_pass(g, f0, cfg.step_init)
+            halvings, replayed = line_search_halvings(g, f0, cfg.step_init)
+            assert np.array_equal(replayed, expect)
+            late += sum(j is not None and j >= 5 for j in halvings)
+            rejected += halvings.count(None)
+            assert rel_err(commun_det(g, 2, cfg).f, expect) <= 1e-10
+        assert late > 0 and rejected > 0
 
 
 class TestEdgeProb:

@@ -12,6 +12,10 @@ from kromfac.kron import (
     kron_entry,
     kron_log_likelihood,
     kron_ll_gradient,
+    _pair_entries,
+    _resample_missing,
+    _row_loglik,
+    _SampledState,
     kronem_fit,
     smallest_power,
 )
@@ -327,6 +331,103 @@ class TestKronemFit:
         )
         err = aligned_error(model.theta, theta_true)
         assert err <= 0.15
+
+
+# kronem_fit on GOLDEN_GRAPH with GOLDEN_CFG, as the _pair_entries E-step
+# computed it: n0 -> (k, theta, sigma).
+GOLDEN_GRAPH = Graph(
+    12,
+    [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    + [(u, v) for u in range(5, 10) for v in range(u + 1, 10)]
+    + [(4, 5), (0, 10), (10, 11), (9, 11), (2, 7)],
+)
+GOLDEN_CFG = EmConfig(em_iters=3, mcmc_samples=120, grad_steps=5, learning_rate=1e-3, seed=11)
+GOLDEN_FITS = {
+    2: (
+        4,
+        [[0.7252732221986592, 0.8074097302674988],
+         [0.8074097302674988, 0.6194387081580088]],
+        [12, 6, 7, 15, 8, 5, 0, 9, 1, 10, 11, 2, 14, 3, 13, 4],
+    ),
+    3: (
+        3,
+        [[0.41970855239175336, 0.5429251243466013, 0.47543048390939024],
+         [0.5429251243466013, 0.5984146416351915, 0.6598425295161704],
+         [0.47543048390939024, 0.6598425295161704, 0.8680518353754415]],
+        [20, 19, 18, 4, 13, 16, 22, 17, 25, 15, 21, 2, 8, 10, 14, 11],
+    ),
+}
+
+
+def reference_row_loglik(state, model, u, sigma_u):
+    """_row_loglik with both ends' digits recomputed by _pair_entries,
+    kept as the oracle for the digit-table form."""
+    others = np.concatenate([np.arange(u), np.arange(u + 1, state.n)])
+    p = _pair_entries(model, np.full(others.size, sigma_u), state.sigma[others])
+    row = state.adjacency_row(u)[others]
+    return float(np.sum(row * np.log(p) + (1.0 - row) * np.log1p(-p)))
+
+
+def reference_resample_missing(state, model, rng):
+    """_resample_missing with _pair_entries, kept as the oracle."""
+    n, n_obs = state.n, state.n_obs
+    for nb in state.missing_neighbors:
+        nb.clear()
+    for u in range(n):
+        lo = max(u + 1, n_obs)
+        if lo >= n:
+            continue
+        cols = np.arange(lo, n)
+        p = _pair_entries(model, np.full(cols.size, state.sigma[u]), state.sigma[cols])
+        for v in cols[rng.random(cols.size) < p]:
+            state.missing_neighbors[u].add(int(v))
+            state.missing_neighbors[int(v)].add(u)
+
+
+def random_state(n0, n_obs, m, seed):
+    """A sampled state with an asymmetric theta and a random injective sigma
+    that places one position at the last index nk - 1."""
+    rng = np.random.default_rng(seed)
+    g = Graph(n_obs, [(u, v) for u in range(n_obs) for v in range(u + 1, n_obs) if rng.random() < 0.3])
+    k = smallest_power(n0, n_obs + m)
+    state = _SampledState(g, m, n0, k)
+    state.sigma = rng.permutation(state.nk)[: state.n]
+    if state.nk - 1 not in state.sigma:
+        state.sigma[rng.integers(state.n)] = state.nk - 1
+    model = KroneckerModel(n0, rng.uniform(0.05, 0.95, size=(n0, n0)), k)
+    return state, model, rng
+
+
+class TestDigitTableEstep:
+    CASES = [(2, 9, 3), (2, 16, 0), (3, 14, 6), (3, 5, 4), (4, 7, 2)]
+
+    @pytest.mark.parametrize("n0, n_obs, m", CASES)
+    def test_row_loglik_matches_pair_entries(self, n0, n_obs, m):
+        state, model, rng = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs)
+        _resample_missing(state, model, rng)
+        free = sorted(set(range(state.nk)) - set(state.sigma.tolist()))
+        for u in range(state.n):
+            for sigma_u in {int(state.sigma[u]), state.nk - 1, 0, *free[:2]}:
+                expect = reference_row_loglik(state, model, u, sigma_u)
+                assert _row_loglik(state, model, u, sigma_u) == expect
+
+    @pytest.mark.parametrize("n0, n_obs, m", CASES)
+    def test_resample_matches_pair_entries(self, n0, n_obs, m):
+        state, model, _ = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 1)
+        _resample_missing(state, model, np.random.default_rng(5))
+        got = [set(nb) for nb in state.missing_neighbors]
+        reference_resample_missing(state, model, np.random.default_rng(5))
+        assert got == state.missing_neighbors
+
+    @pytest.mark.parametrize("n0", sorted(GOLDEN_FITS))
+    def test_golden_fit(self, n0):
+        # A change to these values forks the EM sample path: update them
+        # only together with a note on why the stream moved.
+        k, theta, sigma = GOLDEN_FITS[n0]
+        model, mapping = kronem_fit(GOLDEN_GRAPH, 4, n0=n0, cfg=GOLDEN_CFG)
+        assert model.k == k
+        assert mapping.sigma.tolist() == sigma
+        np.testing.assert_allclose(model.theta, theta, rtol=1e-12, atol=0)
 
 
 def aligned_error(theta_hat, theta_true):
