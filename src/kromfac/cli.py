@@ -25,6 +25,17 @@ def _threshold(value: str) -> float | str:
     return float(value)
 
 
+def _positive(value: str) -> float:
+    """argparse type: a float > 0 (so not 0, negative or nan)."""
+    try:
+        x = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return x
+
+
 def _count(minimum: int):
     """argparse type: an integer no smaller than `minimum`."""
     def count(value: str) -> int:
@@ -56,7 +67,7 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--communities", type=int, required=True, help="community count C")
     p.add_argument("--delta", type=_threshold, default=AUTO,
                    help="membership threshold, or 'auto' (default)")
-    p.add_argument("--eta-detect", type=float, default=None,
+    p.add_argument("--eta-detect", type=_positive, default=None,
                    help="convergence threshold (default: relative-absolute hybrid)")
     p.add_argument("--max-iters", type=_count(1), default=200)
 

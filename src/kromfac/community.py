@@ -4,12 +4,17 @@ Edge probability between nodes u, v with nonnegative membership rows
 F_u, F_v is 1 - exp(-<F_u, F_v>). Detection maximizes the graph
 log-likelihood over F by block coordinate gradient ascent, one row at a
 time, with projection onto the nonnegative orthant.
+
+`commun_det_prefixes` runs detection on several prefixes of one graph
+(the induced subgraphs on its first n_b nodes) in one shared row loop;
+`commun_det` is its one-prefix call, so there is one row-update path.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,8 +34,12 @@ class DetectConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta_detect is not None and self.eta_detect <= 0:
-            raise ValueError("eta_detect must be positive")
+        # `not x > 0` also rejects NaN, which never converges as eta_detect
+        # and freezes every row as step_init.
+        if self.eta_detect is not None and not self.eta_detect > 0:
+            raise ValueError(f"eta_detect must be positive, got {self.eta_detect}")
+        if not self.step_init > 0:
+            raise ValueError(f"step_init must be positive, got {self.step_init}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -128,15 +137,29 @@ def loss(g: Graph, f: np.ndarray) -> float:
     return -agm_log_likelihood(g, f)
 
 
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis strictly in index order (x is overwritten).
+
+    Appended zeros then leave every bit unchanged, which np.sum's pairwise
+    blocks and BLAS kernels (whose order also follows memory alignment) do
+    not promise: it is what lets `commun_det_prefixes` pad a candidate's
+    neighbour list with zero rows and still match the candidate run
+    alone."""
+    if x.shape[-1] == 0:
+        return x.sum(axis=-1)
+    return np.add.accumulate(x, axis=-1, out=x)[..., -1]
+
+
 def _gradient(s: np.ndarray, nbr_rows: np.ndarray, total_other: np.ndarray) -> np.ndarray:
-    """Row gradient from the neighbour dots s = nbr_rows @ F_u.
+    """Row gradient from the neighbour dots s = nbr_rows @ F_u, for one row
+    or a stack of rows (leading axes of s, nbr_rows and total_other).
 
     Each weight is formed as e / (1 - e) + 1, the same arithmetic as the
     per-neighbour reference in the tests: the line-search trajectory is
     sensitive to its last bits, and 1 / -expm1(-s) moved a detection loss
     by 1e-9 relative on the benchmark inputs."""
     e = np.exp(-np.maximum(s, DOT_FLOOR))
-    return (e / (1.0 - e) + 1.0) @ nbr_rows - total_other
+    return _sum_in_order(nbr_rows.mT * (e / (1.0 - e) + 1.0)[..., None, :]) - total_other
 
 
 def row_gradient(f: np.ndarray, u: int, neighbors: Iterable[int], total: np.ndarray) -> np.ndarray:
@@ -148,6 +171,12 @@ def row_gradient(f: np.ndarray, u: int, neighbors: Iterable[int], total: np.ndar
     return _gradient(nbr_rows @ f[u], nbr_rows, total - f[u])
 
 
+def _density_delta(n: int, edge_count: int) -> float:
+    p_bg = 2.0 * edge_count / (n * (n - 1))
+    p_bg = min(p_bg, 1.0 - 1e-9)
+    return max(math.sqrt(-math.log1p(-p_bg)), DELTA_FLOOR)
+
+
 def default_delta(g: Graph) -> float:
     """Membership threshold matched to the background edge density.
 
@@ -156,19 +185,18 @@ def default_delta(g: Graph) -> float:
     """
     if g.n < 2:
         raise ValueError("need at least two nodes")
-    p_bg = 2.0 * g.edge_count / (g.n * (g.n - 1))
-    p_bg = min(p_bg, 1.0 - 1e-9)
-    return max(math.sqrt(-math.log1p(-p_bg)), DELTA_FLOOR)
+    return _density_delta(g.n, g.edge_count)
+
+
+def _init_rows(n: int, edge_count: int, c: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    hi = math.sqrt(_density_delta(n, edge_count)) / c if n >= 2 else 0.1 / c
+    return rng.uniform(0.0, hi, size=(n, c))
 
 
 def init_affiliations(g: Graph, c: int, seed: int) -> np.ndarray:
     """Random nonnegative initialization scaled to the detection threshold."""
-    rng = np.random.default_rng(seed)
-    try:
-        hi = math.sqrt(default_delta(g)) / c
-    except ValueError:
-        hi = 0.1 / c
-    return rng.uniform(0.0, hi, size=(g.n, c))
+    return _init_rows(g.n, g.edge_count, c, seed)
 
 
 def commun_det(g: Graph, c: int, cfg: DetectConfig = DetectConfig()) -> DetectResult:
@@ -182,46 +210,134 @@ def commun_det(g: Graph, c: int, cfg: DetectConfig = DetectConfig()) -> DetectRe
     row stays). That is the step sequential backtracking would accept.
     Stops when the loss improvement over a full pass falls below
     eta_detect.
+
+    This is the one-candidate call of `commun_det_prefixes`.
     """
-    if c < 1 or g.n < 1:
+    return commun_det_prefixes(g, [g.n], c, cfg, [cfg.seed])[0]
+
+
+def commun_det_prefixes(
+    g: Graph, sizes: Sequence[int], c: int, cfg: DetectConfig, seeds: Sequence[int]
+) -> list[DetectResult]:
+    """`commun_det` on the induced subgraphs of g on its first sizes[b]
+    nodes, candidate b seeded by seeds[b] (cfg.seed is not used), all
+    advanced in one shared row loop.
+
+    `sizes` is ascending. Each candidate keeps its own init (drawn at its
+    own size and edge count), pass count, convergence test and result, as
+    if run alone. A neighbour outside a candidate's prefix has a zero row
+    in its stack, so it adds nothing to the candidate's dots and gradient,
+    and it is masked out of the log term; the sums over neighbours run in
+    index order, so these trailing zeros leave them bit for bit unchanged.
+    What can still differ from a run alone, in the last bits, is a BLAS
+    dot product over the c columns, whose kernel may depend on the row
+    count and alignment of the call. Memory is O(len(sizes) * g.n * c)
+    for the stacked affiliations plus one row's neighbour block per
+    candidate; no candidate-by-node-by-degree table is built.
+    """
+    sizes = [int(n) for n in sizes]
+    if c < 1 or not sizes or sizes[0] < 1:
         raise ValueError("need c >= 1 and a nonempty graph")
-    f = init_affiliations(g, c, cfg.seed)
+    if sizes[-1] > g.n or sizes != sorted(sizes) or len(seeds) != len(sizes):
+        raise ValueError("need ascending sizes of at most g.n nodes, one seed each")
     indptr, indices, eu, ev = neighbour_arrays(g)
-    total = np.sum(f, axis=0)
-    prev_loss = -_log_likelihood(f, eu, ev)
-    steps = np.concatenate([[0.0], np.ldexp(cfg.step_init, -np.arange(10))])
-    converged = False
-    passes = 0
+    f = np.zeros((len(sizes), g.n, c))  # rows past a candidate's prefix stay 0
+    edges, prev = [], []
+    for b, (n, seed) in enumerate(zip(sizes, seeds)):
+        inside = ev < n  # eu < ev, and the (u, v) order is kept
+        edges.append((eu[inside], ev[inside]))
+        f[b, :n] = _init_rows(n, int(np.count_nonzero(inside)), c, seed)
+        prev.append(-_log_likelihood(f[b, :n], *edges[b]))
+    total = np.stack([f[b, :n].sum(axis=0) for b, n in enumerate(sizes)])
+    steps = np.concatenate([[0.0], np.ldexp(cfg.step_init, -np.arange(10))])[:, None]
+    # last[u] is u's largest neighbour, -1 without any.
+    last = np.full(g.n, -1, dtype=np.intp)
+    has_nbr = indptr[1:] > indptr[:-1]
+    last[has_nbr] = indices[indptr[1:][has_nbr] - 1]
+    last, indptr = last.tolist(), indptr.tolist()
+    live = list(range(len(sizes)))  # the stack f holds these candidates, in order
+    results: list[DetectResult | None] = [None] * len(sizes)
     for passes in range(1, cfg.max_iters + 1):
-        for u in range(g.n):
-            fu = f[u]
-            nbr_rows = f[indices[indptr[u]:indptr[u + 1]]]
-            total_other = total - fu
-            s = nbr_rows @ fu
-            grad = _gradient(s, nbr_rows, total_other)
-            # Row 0 is fu itself (step 0) and its dots are s, the bits the
-            # gradient used; rows 1..10 are the halvings.
-            cands = np.maximum(fu + steps[:, None] * grad, 0.0)
-            dots = cands @ nbr_rows.T
-            dots[0] = s
-            obj = _log1mexp(dots).sum(axis=1) + dots.sum(axis=1) - cands @ total_other
-            accepted = obj >= obj[0]
-            accepted[0] = False
-            j = accepted.argmax()
-            if accepted[j]:
-                cand = cands[j]
-                total += cand - fu
-                fu[:] = cand
-        cur_loss = -_log_likelihood(f, eu, ev)
-        eta = cfg.eta_detect
-        if eta is None:
-            eta = 1e-4 * (1.0 + abs(cur_loss))
-        if prev_loss - cur_loss < eta:
-            prev_loss = min(prev_loss, cur_loss)
-            converged = True
+        _lockstep_pass(f, total, [sizes[b] for b in live], indptr, indices, last, steps)
+        keep = []
+        for j, b in enumerate(live):
+            cur_loss = -_log_likelihood(f[j, :sizes[b]], *edges[b])
+            eta = cfg.eta_detect
+            if eta is None:
+                eta = 1e-4 * (1.0 + abs(cur_loss))
+            if prev[b] - cur_loss < eta:
+                loss_b, converged = min(prev[b], cur_loss), True
+            elif passes == cfg.max_iters:
+                loss_b, converged = cur_loss, False
+            else:
+                prev[b] = cur_loss
+                keep.append(j)
+                continue
+            results[b] = DetectResult(loss_b, f[j, :sizes[b]].copy(), converged, passes)
+        if not keep:
             break
-        prev_loss = cur_loss
-    return DetectResult(loss=prev_loss, f=f, converged=converged, passes=passes)
+        if len(keep) < len(live):
+            f, total, live = f[keep], total[keep], [live[j] for j in keep]
+    return results
+
+
+def _lockstep_pass(
+    f: np.ndarray,
+    total: np.ndarray,
+    sizes: list[int],
+    indptr: list[int],
+    indices: np.ndarray,
+    last: list[int],
+    steps: np.ndarray,
+) -> None:
+    """One pass of row updates, in place, for the stacked candidates f
+    (ascending `sizes`) with column sums `total`.
+
+    Row u updates every candidate with more than u nodes at once, from one
+    gathered neighbour block rows[b] = f[b, nbr]. Only when u's largest
+    neighbour last[u] lies outside the smallest such candidate are
+    neighbours masked, in the log term, where a zero dot is floored
+    rather than zero.
+    """
+    smallest = 0
+    for u in range(sizes[-1]):
+        if u == smallest:
+            # The active set shrinks to the candidates with more than u nodes.
+            k = bisect_right(sizes, u)
+            smallest = sizes[k]
+            if k == len(sizes) - 1:
+                # One candidate: views without the stack axis, so the same
+                # lines below run as plain matrix-vector products, which
+                # numpy dispatches faster than one-item stacks.
+                fa, ta, size_col, stack_index = f[k], total[k], smallest, ()
+            else:
+                fa, ta = f[k:], total[k:]
+                size_col = np.array(sizes[k:])[:, None]
+                stack_index = (np.arange(len(sizes) - k),)
+        nbr = indices[indptr[u]:indptr[u + 1]]
+        fu = fa[..., u, :]
+        rows = fa[..., nbr, :]
+        total_other = ta - fu
+        s = np.matvec(rows, fu)
+        grad = _gradient(s, rows, total_other)
+        # Trial 0 is fu itself (step 0) and its dots are s, the bits the
+        # gradient used; trials 1..10 are the halvings.
+        cands = np.maximum(fu[..., None, :] + steps * grad[..., None, :], 0.0)
+        dots = cands @ rows.mT
+        dots[..., 0, :] = s
+        log_term = _log1mexp(dots)
+        if last[u] >= smallest:
+            log_term *= (nbr < size_col)[..., None, :]
+        # Row objective: sum over neighbours of log(1 - e^-dot) + dot, minus
+        # the trial's dot with total_other.
+        log_term += dots
+        obj = _sum_in_order(log_term) - np.matvec(cands, total_other)
+        accepted = obj >= obj[..., :1]
+        accepted[..., 0] = False
+        # With no trial accepted, argmax picks trial 0: the row stays.
+        new = cands[stack_index + (accepted.argmax(axis=-1),)]
+        ta += new - fu
+        fu[...] = new
 
 
 def hard_decision(f: np.ndarray, delta: float) -> Cover:

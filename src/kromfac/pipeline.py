@@ -3,8 +3,10 @@
 The pipeline has three stages: `complete` (fit the Kronecker model by EM
 and realize the missing part), rank (degree ranking of the recovered
 nodes), then search (detection on N+i nodes for each candidate i, picked
-by regularized loss). `baseline2` reuses `complete`; `baseline1` detects
-on the observed graph alone.
+by regularized loss). Candidate i's graph is the induced subgraph of the
+largest candidate's on its first N+i nodes, so the search is one
+`commun_det_prefixes` call over that one graph. `baseline2` reuses
+`complete`; `baseline1` detects on the observed graph alone.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .community import Cover, DetectConfig, commun_det, default_delta, hard_decision
+from .community import Cover, DetectConfig, commun_det, commun_det_prefixes, default_delta, hard_decision
 from .completion import RecoveredGraph, as_graph, realize_missing
 from .graph import Graph
 from .kron import EmConfig, KroneckerModel, NodeMapping, kronem_fit, random_theta_init
@@ -107,29 +109,40 @@ def regularized_loss(d: float, i: int, lam: float) -> float:
     return d - lam * math.log(i + 1)
 
 
-def kromfac(g_obs: Graph, cfg: KromfacConfig) -> tuple[Cover, SearchTrace]:
+def kromfac(
+    g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None
+) -> tuple[Cover, SearchTrace]:
     """Run the full pipeline: fit the Kronecker model, realize the missing
     part, rank influential nodes, search i by regularized loss, and
-    hard-decide the cover from the best affiliation matrix."""
+    hard-decide the cover from the best affiliation matrix.
+
+    `rg` is a precomputed `complete(g_obs, cfg.m, cfg.n0, cfg.em,
+    cfg.seed)` result; None runs `complete`."""
     lam = cfg.resolve_lambda(g_obs.n)
-    rg, ranking = _recover_and_rank(g_obs, cfg)
+    rg, ranking = _recover_and_rank(g_obs, cfg, rg)
     candidates = ([0] if cfg.include_i0 else []) + list(range(1, ranking.h + 1))
     if not candidates:
         raise ValueError(
             "no candidates to search: H=0 and i=0 excluded (set include_i0)"
         )
 
+    results = commun_det_prefixes(
+        as_graph(rg, candidates[-1], ranking.order),
+        [g_obs.n + i for i in candidates],
+        cfg.c,
+        cfg.detect,
+        [detect_seed(cfg.seed, i) for i in candidates],
+    )
     entries = []
     best = None
-    for i in candidates:
-        gi = as_graph(rg, i, ranking.order)
-        res = commun_det(gi, cfg.c, replace(cfg.detect, seed=detect_seed(cfg.seed, i)))
+    for i, res in zip(candidates, results):
         reg = regularized_loss(res.loss, i, lam)
         entries.append(TraceEntry(i=i, loss=res.loss, reg_loss=reg, converged=res.converged))
         if best is None or reg < best[0]:
-            best = (reg, i, gi, res)
+            best = (reg, i, res)
 
-    _, i_hat, g_hat, res_hat = best
+    _, i_hat, res_hat = best
+    g_hat = as_graph(rg, i_hat, ranking.order)
     cover = hard_decision(res_hat.f, resolve_delta(cfg.delta, g_hat))
     trace = SearchTrace(
         lambda_value=lam,
@@ -163,8 +176,19 @@ def complete(
     return model, mapping, rg
 
 
-def _recover_and_rank(g_obs: Graph, cfg: KromfacConfig) -> tuple[RecoveredGraph, Ranking]:
-    _, _, rg = complete(g_obs, cfg.m, cfg.n0, cfg.em, cfg.seed)
+def _recovered(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None) -> RecoveredGraph:
+    """`rg` checked against g_obs and cfg.m, or a fresh `complete` run."""
+    if rg is None:
+        return complete(g_obs, cfg.m, cfg.n0, cfg.em, cfg.seed)[2]
+    if rg.m != cfg.m or rg.base != g_obs:
+        raise ValueError("recovered graph does not extend g_obs by cfg.m nodes")
+    return rg
+
+
+def _recover_and_rank(
+    g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None
+) -> tuple[RecoveredGraph, Ranking]:
+    rg = _recovered(g_obs, cfg, rg)
     eps = default_epsilon(rg) if cfg.epsilon == AUTO else cfg.epsilon
     if eps <= 0:
         # Edgeless recovered graph: no node can qualify.
@@ -185,9 +209,10 @@ def baseline1(
     return hard_decision(res.f, resolve_delta(delta, g_obs))
 
 
-def baseline2(g_obs: Graph, cfg: KromfacConfig) -> Cover:
-    """Detection on the fully completed graph (i = M, no selection)."""
-    _, _, rg = complete(g_obs, cfg.m, cfg.n0, cfg.em, cfg.seed)
-    g_full = as_graph(rg, cfg.m)
+def baseline2(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None) -> Cover:
+    """Detection on the fully completed graph (i = M, no selection).
+
+    `rg` is as in `kromfac`."""
+    g_full = as_graph(_recovered(g_obs, cfg, rg), cfg.m)
     res = commun_det(g_full, cfg.c, replace(cfg.detect, seed=detect_seed(cfg.seed, cfg.m)))
     return hard_decision(res.f, resolve_delta(cfg.delta, g_full))

@@ -246,7 +246,7 @@ def study_seed(seed, n=150, c=3, strength=1.0, overlap=0.3):
         truth_obs,
         baseline1(g_obs, c, detect=replace(cfg.detect, seed=detect_seed(cfg.seed, 0))).restrict(n_obs),
     )
-    b2 = nmi(truth_obs, baseline2(g_obs, cfg).restrict(n_obs))
+    b2 = nmi(truth_obs, baseline2(g_obs, cfg, rg).restrict(n_obs))
     return curve, best[1], best[2], b1, b2
 
 

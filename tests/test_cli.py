@@ -51,6 +51,18 @@ class TestUsageErrors:
         assert f"{flag}: must be >=" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_rejects_non_positive_eta_detect(self, tmp_path, capsys, value):
+        edges = two_cliques_file(tmp_path)
+        args = [
+            "detect", "--edges", str(edges), "--out", str(tmp_path / "o"),
+            "--communities", "2", "--missing", "2", "--seed", "0", "--eta-detect", value,
+        ]
+        assert run_command(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == f"kromfac detect: error: argument --eta-detect: must be > 0, got {value}"
+        assert not (tmp_path / "o").exists()
+
     def test_complete_rejects_n0_below_two(self, tmp_path, capsys):
         edges = two_cliques_file(tmp_path)
         args = [

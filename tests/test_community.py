@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +11,14 @@ from kromfac.community import (
     agm_edge_prob,
     agm_log_likelihood,
     commun_det,
+    commun_det_prefixes,
     default_delta,
     hard_decision,
     init_affiliations,
     loss,
     row_gradient,
 )
+from kromfac.completion import RecoveredGraph, as_graph
 from kromfac.graph import Graph
 
 
@@ -138,8 +142,12 @@ ORACLE_GRAPHS = [
 ]
 
 
+def graph_id(g):
+    return f"n{g.n}-e{g.edge_count}"
+
+
 class TestVectorizedOracle:
-    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=graph_id)
     def test_row_gradient_matches_loop(self, g):
         rng = np.random.default_rng(g.n)
         for c in (1, 3):
@@ -150,14 +158,14 @@ class TestVectorizedOracle:
                 expect = reference_row_gradient(f, u, g.adjacency[u], total)
                 assert rel_err(row_gradient(f, u, g.adjacency[u], total), expect) <= 1e-12
 
-    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=graph_id)
     def test_log_likelihood_matches_pairwise(self, g):
         rng = np.random.default_rng(g.n + 1)
         for c in (1, 3):
             f = rng.uniform(0.0, 1.5, size=(g.n, c))
             assert rel_err(agm_log_likelihood(g, f), reference_ll(g, f)) <= 1e-12
 
-    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=graph_id)
     def test_one_pass_matches_scalar_update(self, g):
         for seed in range(3):
             cfg = DetectConfig(seed=seed, max_iters=1)
@@ -351,3 +359,128 @@ def test_init_affiliations_in_range():
     assert f.shape == (10, 4)
     assert np.all(f >= 0)
     assert np.all(f <= math.sqrt(default_delta(g)) / 4)
+
+
+def recovered(base, m, z1, z2):
+    return RecoveredGraph(base, m, frozenset(z1), frozenset(z2))
+
+
+def planted_recovered(seed, n_base=16, m=6, hub=None):
+    """Two planted blocks on n_base observed nodes plus m recovered nodes
+    with random edges; `hub` is the id of a recovered node joined to every
+    observed node."""
+    rng = np.random.default_rng(seed)
+    half = n_base // 2
+    base = Graph(n_base, [
+        (u, v) for u in range(n_base) for v in range(u + 1, n_base)
+        if rng.random() < (0.5 if (u < half) == (v < half) else 0.05)
+    ])
+    z1 = {(u, n_base + r) for r in range(m) for u in range(n_base) if rng.random() < 0.3}
+    if hub is not None:
+        z1 |= {(u, hub) for u in range(n_base)}
+    z2 = {(n_base + a, n_base + b) for a in range(m) for b in range(a + 1, m) if rng.random() < 0.4}
+    return recovered(base, m, z1, z2)
+
+
+def lockstep_matches_alone(rg, order, candidates, c, cfg):
+    """Run the candidates in one commun_det_prefixes call and each alone on
+    as_graph(rg, i, order); check the oracle bounds and return the results."""
+    n = rg.base.n
+    seeds = [1000 + 7 * i for i in candidates]
+    together = commun_det_prefixes(
+        as_graph(rg, candidates[-1], order), [n + i for i in candidates], c, cfg, seeds
+    )
+    for i, seed, res in zip(candidates, seeds, together):
+        alone = commun_det(as_graph(rg, i, order), c, replace(cfg, seed=seed))
+        assert (res.passes, res.converged) == (alone.passes, alone.converged), i
+        assert abs(res.loss - alone.loss) <= 1e-12 * abs(alone.loss), i
+        assert res.f.shape == alone.f.shape
+        assert np.max(np.abs(res.f - alone.f)) <= 1e-10, i
+    return together
+
+
+class TestLockstepOracle:
+    def test_candidates_converge_at_different_passes(self):
+        rg = planted_recovered(1)
+        order = [19, 16, 21, 17, 20, 18]
+        got = lockstep_matches_alone(rg, order, list(range(7)), 3, DetectConfig(max_iters=200))
+        # Candidates leave the stack at different passes, and some run
+        # to max_iters without converging.
+        assert len({r.passes for r in got if r.converged}) > 2
+        assert not all(r.converged for r in got)
+
+    def test_without_i0(self):
+        rg = planted_recovered(2)
+        lockstep_matches_alone(rg, [16, 17, 18, 19, 20, 21], list(range(1, 7)), 2, DetectConfig(max_iters=40))
+
+    def test_single_candidate(self):
+        rg = planted_recovered(3)
+        (res,) = lockstep_matches_alone(rg, [], [0], 3, DetectConfig(max_iters=40))
+        assert res.f.shape == (16, 3)
+
+    def test_isolated_recovered_node(self):
+        rg = planted_recovered(4)
+        lonely = 22
+        rg = recovered(rg.base, 7, rg.z1, rg.z2)  # node 22 has no edges
+        order = [18, lonely, 16, 21, 17, 20, 19]
+        lockstep_matches_alone(rg, order, list(range(8)), 3, DetectConfig(max_iters=40))
+        assert as_graph(rg, 2, order).degree(17) == 0
+
+    def test_hub_recovered_node(self):
+        rg = planted_recovered(5, hub=18)
+        for order in ([18, 16, 17, 19, 20, 21], [16, 17, 19, 20, 21, 18]):
+            lockstep_matches_alone(rg, order, list(range(7)), 3, DetectConfig(max_iters=40))
+
+    def test_long_run_with_hub(self):
+        # 200 passes with a step that keeps the line search busy: rows next
+        # to the hub carry up to six neighbours outside the small prefixes,
+        # whose floored log terms would add a constant the size of several
+        # log(1e-10) to every trial's objective if they were not masked.
+        rg = planted_recovered(0, hub=16)
+        order = [19, 16, 21, 17, 20, 18]
+        cfg = DetectConfig(max_iters=200, eta_detect=1e-300)
+        lockstep_matches_alone(rg, order, list(range(7)), 3, cfg)
+
+    def test_rejects_bad_sizes(self):
+        g = random_graph(10, 0.3, 1)
+        cfg = DetectConfig()
+        for sizes, seeds in (([5, 4], [0, 1]), ([0], [0]), ([11], [0]), ([4, 5], [0]), ([], [])):
+            with pytest.raises(ValueError):
+                commun_det_prefixes(g, sizes, 2, cfg, seeds)
+
+    def test_memory_has_no_candidate_by_degree_table(self):
+        # A star-hub input: observed node 0 and one recovered node are joined
+        # to everything, so the largest degree is about n. A padded
+        # neighbour table over all candidates would hold
+        # len(sizes) * n * max_degree floats (about 25 MB here).
+        n_base, m = 600, 8
+        base = Graph(n_base, [(0, v) for v in range(1, n_base)])
+        hub = n_base
+        z1 = {(u, hub) for u in range(n_base)} | {(0, n_base + r) for r in range(m)}
+        z2 = {(hub, n_base + r) for r in range(1, m)}
+        rg = recovered(base, m, z1, z2)
+        g = as_graph(rg, m)
+        sizes = [n_base + i for i in range(m + 1)]
+        table_bytes = len(sizes) * g.n * max(g.degrees()) * 8
+        cfg = DetectConfig(max_iters=2)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            commun_det_prefixes(g, sizes, 2, cfg, list(range(len(sizes))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_bytes > 20e6
+        assert peak < table_bytes / 4, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestDetectConfigValidation:
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")], ids=["neg", "zero", "nan"])
+    def test_rejects_step_init(self, value):
+        with pytest.raises(ValueError, match="step_init"):
+            DetectConfig(step_init=value)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")], ids=["neg", "zero", "nan"])
+    def test_rejects_eta_detect(self, value):
+        with pytest.raises(ValueError, match="eta_detect"):
+            DetectConfig(eta_detect=value)

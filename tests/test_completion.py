@@ -2,9 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kromfac.completion import RecoveredGraph, as_graph, realize_missing
-from kromfac.graph import Graph
+from kromfac.graph import Graph, induced_subgraph
 from kromfac.kron import KroneckerModel, NodeMapping, kron_entry
 
 THETA = np.array([[0.9, 0.5], [0.5, 0.3]])
@@ -112,6 +113,37 @@ class TestAsGraph:
             prev = cur
             base_edges = {(u, v) for u, v in cur if u < 4 and v < 4}
             assert base_edges == set(base.edges())
+
+
+@st.composite
+def recovered_graphs(draw):
+    """A RecoveredGraph with random base, Z1 and Z2 edges, plus an order
+    over a subset of its recovered nodes."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 6))
+
+    def pairs(lo1, hi1, lo2, hi2):
+        edge = st.tuples(st.integers(lo1, hi1), st.integers(lo2, hi2))
+        return st.sets(edge.filter(lambda e: e[0] < e[1]), max_size=20)
+
+    base = Graph(n, draw(pairs(0, n - 1, 0, n - 1)))
+    z1 = draw(pairs(0, n - 1, n, n + m - 1)) if m else set()
+    z2 = draw(pairs(n, n + m - 1, n, n + m - 1)) if m else set()
+    order = draw(st.permutations(range(n, n + m)))
+    order = order[: draw(st.integers(0, m))]
+    return RecoveredGraph(base, m, frozenset(z1), frozenset(z2)), order
+
+
+class TestPrefixProperty:
+    @given(recovered_graphs())
+    def test_candidate_graph_is_prefix_of_largest(self, case):
+        # commun_det_prefixes rests on this: candidate i's graph is the
+        # induced subgraph of candidate H's on its first N + i nodes.
+        rg, order = case
+        largest = as_graph(rg, len(order), order)
+        for i in range(len(order) + 1):
+            prefix, _ = induced_subgraph(largest, set(range(rg.base.n + i)))
+            assert as_graph(rg, i, order) == prefix
 
 
 class TestSerialization:

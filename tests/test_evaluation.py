@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kromfac import evaluation, pipeline
 from kromfac.community import Cover
 from kromfac.evaluation import (
     ExperimentReport,
@@ -19,7 +20,7 @@ from kromfac.evaluation import (
 from kromfac.graph import Graph
 from kromfac.kron import EmConfig
 from kromfac.community import DetectConfig
-from kromfac.pipeline import KromfacConfig
+from kromfac.pipeline import KromfacConfig, complete
 
 
 def cover(universe, *groups):
@@ -221,6 +222,20 @@ class TestRunExperiment:
         assert set(parsed["scores"]) == {"kromfac", "baseline1", "baseline2"}
         for v in parsed["scores"].values():
             assert 0.0 <= v <= 1.0
+
+    def test_fits_em_once(self, monkeypatch):
+        # kromfac and baseline2 share one completion of the sampled graph.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return complete(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "complete", counting)
+        monkeypatch.setattr(evaluation, "complete", counting)
+        g, truth = self.planted_instance()
+        run_experiment(g, truth, SampleSpec("rn", fraction=0.8, seed=1), self.make_cfg(1))
+        assert len(calls) == 1
 
     def test_fingerprint_stable(self):
         g, _ = self.planted_instance()

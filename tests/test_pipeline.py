@@ -11,6 +11,7 @@ from kromfac.kron import EmConfig
 from kromfac.pipeline import (
     AUTO,
     KromfacConfig,
+    _recover_and_rank,
     baseline1,
     baseline2,
     complete,
@@ -119,6 +120,38 @@ class TestKromfac:
         assert d["i_hat"] == trace.i_hat
         assert len(d["trace"]) == len(trace.entries)
         assert d["h"] == trace.h
+
+
+class TestSearch:
+    def test_trace_matches_candidate_runs_alone(self):
+        # The lockstep search against the loop it replaced: detection on
+        # as_graph(rg, i, order) for each candidate, one at a time.
+        g = community_graph(4)
+        cfg = small_cfg(6, 2, seed=12, epsilon=1.0)
+        _, trace = kromfac(g, cfg)
+        rg, ranking = _recover_and_rank(g, cfg)
+        assert trace.h == ranking.h > 2
+        for entry in trace.entries:
+            gi = as_graph(rg, entry.i, ranking.order)
+            alone = commun_det(gi, cfg.c, replace(cfg.detect, seed=detect_seed(cfg.seed, entry.i)))
+            assert entry.converged == alone.converged
+            assert abs(entry.loss - alone.loss) <= 1e-12 * abs(alone.loss)
+
+    def test_precomputed_recovery_gives_the_same_results(self):
+        g = community_graph(5)
+        cfg = small_cfg(4, 2, seed=13)
+        _, _, rg = complete(g, cfg.m, cfg.n0, cfg.em, cfg.seed)
+        assert kromfac(g, cfg, rg) == kromfac(g, cfg)
+        assert baseline2(g, cfg, rg) == baseline2(g, cfg)
+
+    def test_rejects_recovery_of_another_graph(self):
+        g = community_graph(5)
+        cfg = small_cfg(4, 2, seed=13)
+        _, _, rg = complete(g, cfg.m, cfg.n0, cfg.em, cfg.seed)
+        with pytest.raises(ValueError, match="does not extend"):
+            kromfac(community_graph(6), cfg, rg)
+        with pytest.raises(ValueError, match="does not extend"):
+            baseline2(g, replace(cfg, m=3), rg)
 
 
 class TestBaselines:
