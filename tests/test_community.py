@@ -142,12 +142,8 @@ ORACLE_GRAPHS = [
 ]
 
 
-def graph_id(g):
-    return f"n{g.n}-e{g.edge_count}"
-
-
 class TestVectorizedOracle:
-    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=graph_id)
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
     def test_row_gradient_matches_loop(self, g):
         rng = np.random.default_rng(g.n)
         for c in (1, 3):
@@ -158,14 +154,14 @@ class TestVectorizedOracle:
                 expect = reference_row_gradient(f, u, g.adjacency[u], total)
                 assert rel_err(row_gradient(f, u, g.adjacency[u], total), expect) <= 1e-12
 
-    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=graph_id)
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
     def test_log_likelihood_matches_pairwise(self, g):
         rng = np.random.default_rng(g.n + 1)
         for c in (1, 3):
             f = rng.uniform(0.0, 1.5, size=(g.n, c))
             assert rel_err(agm_log_likelihood(g, f), reference_ll(g, f)) <= 1e-12
 
-    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=graph_id)
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
     def test_one_pass_matches_scalar_update(self, g):
         for seed in range(3):
             cfg = DetectConfig(seed=seed, max_iters=1)
