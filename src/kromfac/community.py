@@ -35,11 +35,12 @@ class DetectConfig:
 
     def __post_init__(self):
         # `not x > 0` also rejects NaN, which never converges as eta_detect
-        # and freezes every row as step_init.
+        # and freezes every row as step_init; an infinite step_init
+        # overflows every trial and freezes the rows too.
         if self.eta_detect is not None and not self.eta_detect > 0:
             raise ValueError(f"eta_detect must be positive, got {self.eta_detect}")
-        if not self.step_init > 0:
-            raise ValueError(f"step_init must be positive, got {self.step_init}")
+        if not 0 < self.step_init < math.inf:
+            raise ValueError(f"step_init must be positive and finite, got {self.step_init}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

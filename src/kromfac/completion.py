@@ -13,7 +13,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .graph import Graph
-from .kron import KroneckerModel, NodeMapping, kron_entry
+from .kron import KroneckerModel, NodeMapping, sample_missing_block
 
 
 @dataclass(frozen=True)
@@ -82,22 +82,20 @@ def realize_missing(
     Each unordered pair (u, v), u < v, with at least one endpoint among
     the M missing positions is drawn with probability
     kron_entry(model, sigma(u), sigma(v)). Pairs are enumerated row-major
-    so realizations are reproducible per seed.
+    (by sample_missing_block, the sampler the E-step uses) so
+    realizations are reproducible per seed.
     """
     n = g_obs.n + m
     if len(mapping) != n:
         raise ValueError("mapping must cover N + m positions")
-    rng = np.random.default_rng(seed)
     sigma = mapping.sigma
-    z1, z2 = set(), set()
-    for u in range(n - 1):
-        for v in range(max(u + 1, g_obs.n), n):
-            p = kron_entry(model, int(sigma[u]), int(sigma[v]))
-            if rng.random() < p:
-                if u < g_obs.n:
-                    z1.add((u, v))
-                else:
-                    z2.add((u, v))
+    if m and not (0 <= sigma.min() and sigma.max() < model.num_indices):
+        raise ValueError(f"index out of range for n0^k={model.num_indices}")
+    rng = np.random.default_rng(seed)
+    us, vs = sample_missing_block(model, sigma, g_obs.n, rng)
+    observed = us < g_obs.n
+    z1 = zip(us[observed].tolist(), vs[observed].tolist())
+    z2 = zip(us[~observed].tolist(), vs[~observed].tolist())
     return RecoveredGraph(base=g_obs, m=m, z1=frozenset(z1), z2=frozenset(z2))
 
 

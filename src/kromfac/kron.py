@@ -9,7 +9,16 @@ The exact likelihood groups node pairs by type: the multiset of digit
 pairs (a, b) of sigma(u), sigma(v) over the k digits. Every pair of one
 type has the same probability prod theta_ab, so the sum over all u < v
 pairs becomes a sum over the occupied types (a few hundred for n0=2 at
-n≈2000), counted in row blocks without any n x n array.
+n≈2000), counted in row blocks without any n x n array. The tally does
+not depend on theta, so an M-step counts it once and every likelihood and
+gradient evaluation of that step reuses it.
+
+The E-step state is held in arrays: the observed graph as CSR, the
+sampled missing block as an n x M bool matrix, and a digit table of the
+whole index space. An MH proposal evaluates the rows it needs in one
+stacked gather. The Gibbs resample and `realize_missing` share one
+sampler, `sample_missing_block`, which draws the missing pairs in
+row-major order, one block of rows at a time.
 """
 from __future__ import annotations
 
@@ -146,6 +155,24 @@ def kron_entry(model: KroneckerModel, a: int, b: int) -> float:
     return p
 
 
+def _row_entries(theta: np.ndarray, row_digits: np.ndarray, col_codes: np.ndarray) -> np.ndarray:
+    """Entries [theta^k](a_i, b_v) of r row indices and n column indices.
+
+    row_digits (r x k) holds the base-n0 digits of each a_i, and col_codes
+    (k x n) holds d * n0 + (digit d of b_v), least significant digit
+    first. Row i takes its k factors from a k * n0 table of theta rows in
+    one gather and multiplies them in digit order, which gives the bits
+    kron_entry gives (1.0 * theta_0 = theta_0 exactly).
+    """
+    table = theta[row_digits].reshape(len(row_digits), -1)
+    return np.multiply.reduce(np.take(table, col_codes, axis=1), axis=1)
+
+
+def _col_codes(digits: np.ndarray, n0: int) -> np.ndarray:
+    """col_codes for _row_entries from digits of shape (n, k): k x n."""
+    return np.ascontiguousarray((digits + n0 * np.arange(digits.shape[1])).T)
+
+
 def _pair_count(n: int) -> float:
     return n * (n - 1) / 2.0
 
@@ -207,7 +234,24 @@ def _pair_types(a_full, sigma: np.ndarray, n0: int, k: int) -> tuple[np.ndarray,
     return entries, pairs, edges
 
 
-def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel) -> float:
+def _mstep_summary(a_full, mapping: NodeMapping, model: KroneckerModel):
+    """The theta-independent part of the likelihood of one graph and placement.
+
+    On the exact path it is the pair-type tally (entries, pairs, edges) of
+    _pair_types; otherwise it is, for every edge u < v and digit d, the
+    flat theta index a*n0 + b of the digit pair (k x edges). None when
+    there are no pairs.
+    """
+    if a_full.n <= 1:
+        return None
+    n0, k, sigma = model.n0, model.k, mapping.sigma
+    if model.num_indices <= EXACT_PAIR_LIMIT:
+        return _pair_types(a_full, sigma, n0, k)
+    us, vs = neighbour_arrays(a_full)[2:]
+    return (index_digits(sigma[us], n0, k) * n0 + index_digits(sigma[vs], n0, k)).T
+
+
+def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel, *, _summary=None) -> float:
     """Log-likelihood of the adjacency under the permuted Kronecker model.
 
     Sums over unordered node pairs u < v:
@@ -220,6 +264,9 @@ def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel) -> 
     Otherwise the zero-sum uses a second-order expansion of log(1-p) with
     the full-matrix moment sums scaled to the mapped pair universe,
     corrected by an exact sum over the edge pairs.
+
+    `_summary` is _mstep_summary(a_full, mapping, model), passed in by
+    ascend_theta so that it is built once per M-step.
     """
     if len(mapping) != a_full.n:
         raise ValueError("mapping length must equal node count")
@@ -228,16 +275,17 @@ def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel) -> 
     n = a_full.n
     if n <= 1:
         return 0.0
-    sigma = mapping.sigma
+    if _summary is None:
+        _summary = _mstep_summary(a_full, mapping, model)
 
     if model.num_indices <= EXACT_PAIR_LIMIT:
-        entries, pairs, edges = _pair_types(a_full, sigma, model.n0, model.k)
+        entries, pairs, edges = _summary
         p = model.theta.ravel()[entries].prod(axis=1)
         return float(np.sum(edges * np.log(p) + (pairs - edges) * np.log1p(-p)))
 
-    us, vs = neighbour_arrays(a_full)[2:]
-    if us.size:
-        pe = _pair_entries(model, sigma[us], sigma[vs])
+    edge_codes = _summary
+    if edge_codes.size:
+        pe = np.multiply.reduce(model.theta.ravel()[edge_codes], axis=0)
         edge_log = float(np.sum(np.log(pe)))
         edge_taylor = float(np.sum(pe + 0.5 * pe**2))
     else:
@@ -246,16 +294,6 @@ def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel) -> 
     s1, s2 = _mapped_moment_sums(model, n)
     zero_sum = -(s1 + 0.5 * s2) + edge_taylor
     return edge_log + zero_sum
-
-
-def _pair_entries(model: KroneckerModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries for aligned (rows[i], cols[i]) pairs."""
-    dr = index_digits(rows, model.n0, model.k)
-    dc = index_digits(cols, model.n0, model.k)
-    out = np.ones(rows.size)
-    for d in range(model.k):
-        out *= model.theta[dr[:, d], dc[:, d]]
-    return out
 
 
 def _mapped_moment_sums(model: KroneckerModel, n: int) -> tuple[float, float]:
@@ -272,35 +310,34 @@ def _mapped_moment_sums(model: KroneckerModel, n: int) -> tuple[float, float]:
     return rho * s1_full, rho * s2_full
 
 
-def kron_ll_gradient(a_full, mapping: NodeMapping, model: KroneckerModel) -> np.ndarray:
+def kron_ll_gradient(a_full, mapping: NodeMapping, model: KroneckerModel, *, _summary=None) -> np.ndarray:
     """Gradient of kron_log_likelihood w.r.t. each theta entry (raw,
-    unsymmetrized, matching the u < v pair orientation)."""
+    unsymmetrized, matching the u < v pair orientation). `_summary` is as
+    in kron_log_likelihood."""
     n = a_full.n
     th = model.theta
     n0, k = model.n0, model.k
     grad = np.zeros_like(th)
     if n <= 1:
         return grad
-    sigma = mapping.sigma
+    if _summary is None:
+        _summary = _mstep_summary(a_full, mapping, model)
 
     if model.num_indices <= EXACT_PAIR_LIMIT:
-        entries, pairs, edges = _pair_types(a_full, sigma, n0, k)
+        entries, pairs, edges = _summary
         p = th.ravel()[entries].prod(axis=1)
         # Per-type weight on d log(p)/d theta: 1 per edge, -p/(1-p) per non-edge.
         w = edges - (pairs - edges) * p / (1.0 - p)
         grad = np.bincount(entries.ravel(), weights=np.repeat(w, k), minlength=n0 * n0)
         return grad.reshape(n0, n0) / th
 
-    us, vs = neighbour_arrays(a_full)[2:]
-    if us.size:
-        pe = _pair_entries(model, sigma[us], sigma[vs])
-        du = index_digits(sigma[us], n0, k)
-        dv = index_digits(sigma[vs], n0, k)
+    edge_codes = _summary
+    if edge_codes.size:
+        pe = np.multiply.reduce(th.ravel()[edge_codes], axis=0)
         # Edge terms: d/dtheta_ij [log p + p + p^2/2] = (1 + p + p^2) c_ij / theta_ij.
         we = 1.0 + pe + pe**2
-        for d in range(k):
-            np.add.at(grad, (du[:, d], dv[:, d]), we)
-        grad /= th
+        grad = np.bincount(edge_codes.ravel(), weights=np.tile(we, k), minlength=n0 * n0)
+        grad = grad.reshape(n0, n0) / th
     # Approximated zero-sum: -(rho * (S1_full + S2_full / 2)).
     nk = model.num_indices
     rho = _pair_count(n) / _pair_count(nk)
@@ -332,19 +369,22 @@ def ascend_theta(
 
     The gradient is projected onto symmetric matrices so theta stays
     symmetric throughout; each accepted step never decreases the
-    likelihood by more than `monotone_tol`.
+    likelihood by more than `monotone_tol`. The graph and placement are
+    fixed, so their theta-independent summary is built once and passed to
+    every likelihood and gradient evaluation.
     """
     theta = model.theta.copy()
-    cur = kron_log_likelihood(a_full, mapping, model)
+    summary = _mstep_summary(a_full, mapping, model)
+    cur = kron_log_likelihood(a_full, mapping, model, _summary=summary)
     for _ in range(steps):
-        g = kron_ll_gradient(a_full, mapping, replace(model, theta=theta))
+        g = kron_ll_gradient(a_full, mapping, replace(model, theta=theta), _summary=summary)
         g = _symmetrize(g)
         step = learning_rate
         accepted = False
         for _ in range(20):
             cand = _clamp(theta + step * g)
             cand_ll = kron_log_likelihood(
-                a_full, mapping, replace(model, theta=cand)
+                a_full, mapping, replace(model, theta=cand), _summary=summary
             )
             if cand_ll >= cur - monotone_tol:
                 theta, cur, accepted = cand, cand_ll, True
@@ -356,81 +396,101 @@ def ascend_theta(
 
 
 class _SampledState:
-    """Mutable EM state: current sigma placement and missing-block edges.
+    """Mutable EM state: the placement sigma and the sampled missing block,
+    all in arrays.
 
-    `digits` is the digit table of the whole index space: column t holds
-    the k base-n0 digits of index t, least significant first (k x nk int64,
-    at most k * n0 * (N + M) entries, built once per fit). The E-step reads
-    the digits of any placement from it instead of recomputing them per
-    row; digit d of every column sits in one contiguous row.
+    `digits` is the digit table of the whole index space: row t holds the
+    k base-n0 digits of index t, least significant first (nk x k int64, at
+    most k * n0 * (N + M) entries, built once per fit). The E-step reads
+    the digits of any placement from it instead of recomputing them.
+
+    The observed graph is kept as CSR (`indptr`, `indices`) and edge list
+    (`eu`, `ev`) from neighbour_arrays. The missing block is the n x M bool
+    matrix `missing`: missing[u, j] says whether position u and missing
+    position N + j are joined, so its bottom M x M block is symmetric with
+    a False diagonal. Each Gibbs resample rewrites it whole from
+    sample_missing_block, the sampler realize_missing also uses;
+    adjacency_row and as_graph read both parts.
     """
 
     def __init__(self, g_obs, m: int, n0: int, k: int):
         self.n_obs = g_obs.n
         self.n = g_obs.n + m
+        self.n0 = n0
         self.nk = n0**k
-        self.digits = np.ascontiguousarray(index_digits(np.arange(self.nk), n0, k).T)
+        self.digits = index_digits(np.arange(self.nk), n0, k)
         self.sigma = np.arange(self.n, dtype=np.int64)
-        self.obs_neighbors = [set(a) for a in g_obs.adjacency]
-        # Missing-block adjacency: neighbor sets for every node, edges with
-        # at least one endpoint >= n_obs.
-        self.missing_neighbors: list[set[int]] = [set() for _ in range(self.n)]
-
-    def neighbors(self, u: int) -> set[int]:
-        if u < self.n_obs:
-            return self.obs_neighbors[u] | self.missing_neighbors[u]
-        return self.missing_neighbors[u]
+        self.indptr, self.indices, self.eu, self.ev = neighbour_arrays(g_obs)
+        self.missing = np.zeros((self.n, m), dtype=bool)
 
     def adjacency_row(self, u: int) -> np.ndarray:
+        n_obs = self.n_obs
         row = np.zeros(self.n)
-        for v in self.neighbors(u):
-            row[v] = 1.0
+        if u < n_obs:
+            row[self.indices[self.indptr[u]:self.indptr[u + 1]]] = 1.0
+        else:
+            row[:n_obs] = self.missing[:n_obs, u - n_obs]
+        row[n_obs:] = self.missing[u]
         return row
 
     def as_graph(self) -> Graph:
-        edges = []
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    edges.append((u, v))
-        return Graph(self.n, edges)
+        r, c = np.nonzero(self.missing)
+        c += self.n_obs
+        upper = r < c
+        eu = np.concatenate([self.eu, r[upper]]).tolist()
+        ev = np.concatenate([self.ev, c[upper]]).tolist()
+        return Graph(self.n, zip(eu, ev))
 
 
-def _row_entries(state: _SampledState, model: KroneckerModel, row: int, cols: np.ndarray) -> np.ndarray:
-    """Entries (row, cols[i]) of theta^k from the digit table, multiplied
-    digit by digit in _pair_entries' order, so the values are the same bits."""
-    du = state.digits[:, row]
-    dc = state.digits[:, cols]
-    out = model.theta[du[0]][dc[0]]
-    for d in range(1, model.k):
-        out *= model.theta[du[d]][dc[d]]
-    return out
+def sample_missing_block(
+    model: KroneckerModel, sigma: np.ndarray, n_obs: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Bernoulli draw per position pair u < v with v >= n_obs, joined
+    with probability kron_entry(model, sigma[u], sigma[v]).
+
+    Pairs are visited in row-major order, with one sized rng.random draw
+    per block of _ROW_BLOCK rows: the same stream, and the same outcomes,
+    as one scalar draw per pair. At most O(k * _ROW_BLOCK * M) numbers are
+    held at a time. Returns the joined pairs (us, vs), row-major.
+    """
+    n, n0, k = sigma.size, model.n0, model.k
+    cols = np.arange(n_obs, n)
+    us, vs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    if cols.size == 0:
+        return us[0], vs[0]
+    col_codes = _col_codes(index_digits(sigma[n_obs:], n0, k), n0)
+    for r0 in range(0, n - 1, _ROW_BLOCK):
+        rows = np.arange(r0, min(r0 + _ROW_BLOCK, n - 1))
+        p = _row_entries(model.theta, index_digits(sigma[rows], n0, k), col_codes)
+        upper = rows[:, None] < cols
+        draw = np.zeros(p.shape)
+        draw[upper] = rng.random(np.count_nonzero(upper))
+        hit_r, hit_c = np.nonzero(upper & (draw < p))
+        us.append(rows[hit_r])
+        vs.append(cols[hit_c])
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def _resample_missing(state: _SampledState, model: KroneckerModel, rng: np.random.Generator) -> None:
     """Gibbs resample of the missing-block edge states given theta and sigma."""
-    n, n_obs = state.n, state.n_obs
-    for nb in state.missing_neighbors:
-        nb.clear()
-    for u in range(n):
-        lo = max(u + 1, n_obs)
-        if lo >= n:
-            continue
-        cols = np.arange(lo, n)
-        p = _row_entries(state, model, state.sigma[u], state.sigma[cols])
-        hits = cols[rng.random(cols.size) < p]
-        for v in hits:
-            state.missing_neighbors[u].add(int(v))
-            state.missing_neighbors[int(v)].add(u)
+    n_obs = state.n_obs
+    us, vs = sample_missing_block(model, state.sigma, n_obs, rng)
+    state.missing[:] = False
+    state.missing[us, vs - n_obs] = True
+    inner = us >= n_obs
+    state.missing[vs[inner], us[inner] - n_obs] = True
 
 
-def _row_loglik(state: _SampledState, model: KroneckerModel, u: int, sigma_u: int) -> float:
-    """Likelihood contribution of all pairs containing position u, with u
-    placed at index sigma_u (other positions at state.sigma)."""
-    others = np.concatenate([np.arange(u), np.arange(u + 1, state.n)])
-    p = _row_entries(state, model, sigma_u, state.sigma[others])
-    row = state.adjacency_row(u)[others]
-    return float(np.sum(row * np.log(p) + (1.0 - row) * np.log1p(-p)))
+def _row_loglik(p: np.ndarray, a: np.ndarray, u: int) -> np.ndarray:
+    """Likelihood contribution of the pairs (u, v), v != u, for each row of
+    entries p (r x n), given u's adjacency row a.
+
+    Column u is computed with the rest and its term dropped before the
+    sum, so each value sums the same terms in the same order as a row over
+    the other positions alone.
+    """
+    terms = a * np.log(p) + (1.0 - a) * np.log1p(-p)
+    return np.concatenate((terms[:, :u], terms[:, u + 1:]), axis=1).sum(axis=1)
 
 
 def _mcmc_sigma(
@@ -441,12 +501,16 @@ def _mcmc_sigma(
 ) -> None:
     """Metropolis-Hastings over the placement sigma.
 
-    Proposals are uniform transpositions: a random position is paired with
-    a random target index in the full theta^k space; if the target is held
-    by another position the two swap, otherwise the position moves to the
-    unused index.
+    Proposals are uniform transpositions: a random position x is paired
+    with a random target index t in the full theta^k space; if t is held
+    by another position y the two swap, otherwise x moves to the unused
+    index. Each proposal computes the entries of the two placements sx and
+    t against the current sigma in one stacked call; the rows after a swap
+    differ from these only in the (x, y) pair, which is read from them.
     """
     n, nk = state.n, state.nk
+    digits, theta = state.digits, model.theta
+    col_codes = _col_codes(digits[state.sigma], state.n0)
     holder = {int(s): i for i, s in enumerate(state.sigma)}
     for _ in range(proposals):
         x = int(rng.integers(n))
@@ -455,30 +519,38 @@ def _mcmc_sigma(
         if t == sx:
             continue
         y = holder.get(t)
+        rows = _row_entries(theta, digits[[sx, t]], col_codes)
+        ax = state.adjacency_row(x)
         if y is None:
-            delta = _row_loglik(state, model, x, t) - _row_loglik(state, model, x, sx)
+            old, new = _row_loglik(rows, ax, x)
+            delta = new - old
             if delta >= 0 or rng.random() < math.exp(delta):
                 state.sigma[x] = t
+                col_codes[:, x] += digits[t] - digits[sx]
                 del holder[sx]
                 holder[t] = x
         else:
-            old = _row_loglik(state, model, x, sx) + _row_loglik(state, model, y, t)
-            state.sigma[x], state.sigma[y] = t, sx
-            new = _row_loglik(state, model, x, t) + _row_loglik(state, model, y, sx)
+            # Rows of x at sx and t, then y at t and sx. After the swap y
+            # sits at sx and x at t, so one entry of each new row changes.
+            q = rows[[0, 1, 1, 0]]
+            q[1, y] = rows[1, x]
+            q[3, x] = rows[0, y]
+            x_old, x_new = _row_loglik(q[:2], ax, x)
+            y_old, y_new = _row_loglik(q[2:], state.adjacency_row(y), y)
+            old = x_old + y_old
+            new = x_new + y_new
             # The (x, y) pair is counted in both rows on each side; the
             # double-count cancels in the difference only if corrected.
-            pxy_old = kron_entry(model, sx, t)
-            pxy_new = kron_entry(model, t, sx)
-            axy = 1.0 if y in state.neighbors(x) else 0.0
+            axy = float(ax[y])
 
             def pair_term(p):
                 return axy * math.log(p) + (1.0 - axy) * math.log1p(-p)
 
-            delta = (new - pair_term(pxy_new)) - (old - pair_term(pxy_old))
+            delta = (new - pair_term(rows[1, x])) - (old - pair_term(rows[0, y]))
             if delta >= 0 or rng.random() < math.exp(delta):
+                state.sigma[x], state.sigma[y] = t, sx
+                col_codes[:, [x, y]] = col_codes[:, [y, x]]
                 holder[t], holder[sx] = x, y
-            else:
-                state.sigma[x], state.sigma[y] = sx, t
 
 
 def random_theta_init(n0: int, rng: np.random.Generator) -> np.ndarray:

@@ -471,7 +471,9 @@ class TestLockstepOracle:
 
 
 class TestDetectConfigValidation:
-    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")], ids=["neg", "zero", "nan"])
+    @pytest.mark.parametrize(
+        "value", [-1.0, 0.0, float("nan"), float("inf")], ids=["neg", "zero", "nan", "inf"]
+    )
     def test_rejects_step_init(self, value):
         with pytest.raises(ValueError, match="step_init"):
             DetectConfig(step_init=value)

@@ -62,6 +62,12 @@ class TestRealizeMissing:
         se = (p * (1 - p) / trials) ** 0.5
         assert abs(hits / trials - p) <= 3 * se
 
+    def test_index_out_of_range_rejected(self):
+        model = KroneckerModel(2, THETA, 3)
+        bad = NodeMapping(sigma=np.array([0, 1, 2, 3, 4, 8]), observed_count=5)
+        with pytest.raises(ValueError, match="out of range"):
+            realize_missing(path_graph(5), model, bad, 1, seed=0)
+
     def test_deterministic_per_seed(self):
         model = KroneckerModel(2, THETA, 3)
         g = path_graph(5)

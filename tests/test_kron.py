@@ -1,22 +1,30 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import kromfac.kron as kron_mod
 from kromfac.graph import Graph
 from kromfac.kron import (
     EmConfig,
     KroneckerModel,
     NodeMapping,
     ascend_theta,
+    index_digits,
     kron_entry,
     kron_log_likelihood,
     kron_ll_gradient,
-    _pair_entries,
+    _clamp,
+    _col_codes,
+    _mcmc_sigma,
     _resample_missing,
+    _row_entries,
     _row_loglik,
     _SampledState,
+    _symmetrize,
     kronem_fit,
+    sample_missing_block,
     smallest_power,
 )
 
@@ -106,8 +114,6 @@ class TestLogLikelihood:
 
     def test_approximation_close_to_exact(self):
         # Force the approximate zero-sum path by lowering the exact limit.
-        import kromfac.kron as kron_mod
-
         rng = np.random.default_rng(2)
         n = 64
         model = KroneckerModel(2, rng.uniform(0.2, 0.7, (2, 2)), 6)
@@ -242,6 +248,29 @@ class TestGradient:
                 assert grad[i, j] == pytest.approx(fd, rel=1e-4)
 
 
+    def test_approximate_path_matches_finite_differences(self, monkeypatch):
+        # Above EXACT_PAIR_LIMIT the gradient is that of the approximate
+        # likelihood, edge terms included.
+        monkeypatch.setattr(kron_mod, "EXACT_PAIR_LIMIT", 1)
+        rng = np.random.default_rng(8)
+        n = 40
+        model = KroneckerModel(2, rng.uniform(0.2, 0.8, (2, 2)), 6)
+        mapping = NodeMapping(rng.choice(64, size=n, replace=False), n)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2])
+        grad = kron_ll_gradient(g, mapping, model)
+        h = 1e-6
+        for i in range(2):
+            for j in range(2):
+                tp, tm = model.theta.copy(), model.theta.copy()
+                tp[i, j] += h
+                tm[i, j] -= h
+                fd = (
+                    kron_log_likelihood(g, mapping, KroneckerModel(2, tp, 6))
+                    - kron_log_likelihood(g, mapping, KroneckerModel(2, tm, 6))
+                ) / (2 * h)
+                assert grad[i, j] == pytest.approx(fd, rel=1e-5)
+
+
 class TestAscendTheta:
     def test_monotone_likelihood(self):
         rng = np.random.default_rng(4)
@@ -257,6 +286,50 @@ class TestAscendTheta:
             lls.append(kron_log_likelihood(g, mapping, cur))
         for a, b in zip(lls, lls[1:]):
             assert b >= a - 1e-9
+
+    @staticmethod
+    def reference_ascend(g, mapping, model, steps, learning_rate, monotone_tol=1e-9):
+        """ascend_theta's loop on the public likelihood and gradient, each
+        evaluation recounting from the graph."""
+        theta = model.theta.copy()
+        cur = kron_log_likelihood(g, mapping, model)
+        for _ in range(steps):
+            grad = _symmetrize(kron_ll_gradient(g, mapping, KroneckerModel(model.n0, theta, model.k)))
+            step = learning_rate
+            for _ in range(20):
+                cand = _clamp(theta + step * grad)
+                cand_ll = kron_log_likelihood(g, mapping, KroneckerModel(model.n0, cand, model.k))
+                if cand_ll >= cur - monotone_tol:
+                    theta, cur = cand, cand_ll
+                    break
+                step /= 2.0
+            else:
+                break
+        return _symmetrize(theta)
+
+    @pytest.mark.parametrize("exact_limit", [kron_mod.EXACT_PAIR_LIMIT, 1], ids=["exact", "approx"])
+    def test_summary_built_once_and_theta_bit_identical(self, monkeypatch, exact_limit):
+        monkeypatch.setattr(kron_mod, "EXACT_PAIR_LIMIT", exact_limit)
+        rng = np.random.default_rng(6)
+        n = 40
+        model = KroneckerModel(2, np.array([[0.8, 0.45], [0.45, 0.3]]), 6)
+        mapping = NodeMapping(rng.choice(64, size=n, replace=False), n)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15])
+        expect = self.reference_ascend(g, mapping, model, steps=8, learning_rate=1e-3)
+
+        calls = {"_pair_types": 0, "neighbour_arrays": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(kron_mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(kron_mod, name, counted)
+        got = ascend_theta(g, mapping, model, steps=8, learning_rate=1e-3)
+        if exact_limit == 1:
+            assert calls == {"_pair_types": 0, "neighbour_arrays": 1}
+        else:
+            assert calls["_pair_types"] == 1
+        assert np.array_equal(got.theta, expect)
+        assert not np.array_equal(got.theta, model.theta)  # some step was taken
 
 
 class TestValidation:
@@ -359,34 +432,90 @@ GOLDEN_FITS = {
 }
 
 
-def reference_row_loglik(state, model, u, sigma_u):
-    """_row_loglik with both ends' digits recomputed by _pair_entries,
-    kept as the oracle for the digit-table form."""
-    others = np.concatenate([np.arange(u), np.arange(u + 1, state.n)])
-    p = _pair_entries(model, np.full(others.size, sigma_u), state.sigma[others])
-    row = state.adjacency_row(u)[others]
+def pair_entries(model, rows, cols):
+    """Entries for aligned (rows[i], cols[i]) index pairs, digits recomputed
+    per call and multiplied into a row of ones (the scalar oracle form)."""
+    dr = index_digits(rows, model.n0, model.k)
+    dc = index_digits(cols, model.n0, model.k)
+    out = np.ones(rows.size)
+    for d in range(model.k):
+        out *= model.theta[dr[:, d], dc[:, d]]
+    return out
+
+
+def reference_row_loglik(sigma, edges, model, u, sigma_u):
+    """Row log-likelihood of position u placed at sigma_u, from pair_entries
+    and an edge set of (u, v), u < v, that the oracle holds itself."""
+    n = sigma.size
+    others = np.concatenate([np.arange(u), np.arange(u + 1, n)])
+    p = pair_entries(model, np.full(others.size, sigma_u), sigma[others])
+    row = np.array([1.0 if (min(u, v), max(u, v)) in edges else 0.0 for v in others.tolist()])
     return float(np.sum(row * np.log(p) + (1.0 - row) * np.log1p(-p)))
 
 
-def reference_resample_missing(state, model, rng):
-    """_resample_missing with _pair_entries, kept as the oracle."""
-    n, n_obs = state.n, state.n_obs
-    for nb in state.missing_neighbors:
-        nb.clear()
+def reference_resample_missing(sigma, n_obs, model, rng):
+    """The missing-block Gibbs draw with pair_entries and one rng.random(len)
+    per row; returns its own edge set of (u, v), u < v."""
+    n = sigma.size
+    edges = set()
     for u in range(n):
         lo = max(u + 1, n_obs)
         if lo >= n:
             continue
         cols = np.arange(lo, n)
-        p = _pair_entries(model, np.full(cols.size, state.sigma[u]), state.sigma[cols])
+        p = pair_entries(model, np.full(cols.size, sigma[u]), sigma[cols])
         for v in cols[rng.random(cols.size) < p]:
-            state.missing_neighbors[u].add(int(v))
-            state.missing_neighbors[int(v)].add(u)
+            edges.add((u, int(v)))
+    return edges
+
+
+def reference_mcmc_sigma(sigma, edges, model, proposals, rng):
+    """Metropolis-Hastings over sigma in its scalar form: one row per
+    reference_row_loglik call and kron_entry for the swapped pair."""
+    sigma = sigma.copy()
+    n, nk = sigma.size, model.num_indices
+    holder = {int(s): i for i, s in enumerate(sigma)}
+    for _ in range(proposals):
+        x = int(rng.integers(n))
+        t = int(rng.integers(nk))
+        sx = int(sigma[x])
+        if t == sx:
+            continue
+        y = holder.get(t)
+        if y is None:
+            delta = reference_row_loglik(sigma, edges, model, x, t) - reference_row_loglik(sigma, edges, model, x, sx)
+            if delta >= 0 or rng.random() < math.exp(delta):
+                sigma[x] = t
+                del holder[sx]
+                holder[t] = x
+        else:
+            old = reference_row_loglik(sigma, edges, model, x, sx) + reference_row_loglik(sigma, edges, model, y, t)
+            sigma[x], sigma[y] = t, sx
+            new = reference_row_loglik(sigma, edges, model, x, t) + reference_row_loglik(sigma, edges, model, y, sx)
+            axy = 1.0 if (min(x, y), max(x, y)) in edges else 0.0
+
+            def pair_term(p):
+                return axy * math.log(p) + (1.0 - axy) * math.log1p(-p)
+
+            delta = (new - pair_term(kron_entry(model, t, sx))) - (old - pair_term(kron_entry(model, sx, t)))
+            if delta >= 0 or rng.random() < math.exp(delta):
+                holder[t], holder[sx] = x, y
+            else:
+                sigma[x], sigma[y] = sx, t
+    return sigma
+
+
+def state_missing_edges(state):
+    """The missing-block edges (u, v), u < v, held in state.missing."""
+    r, c = np.nonzero(state.missing)
+    c += state.n_obs
+    return {(int(u), int(v)) for u, v in zip(r, c) if u < v}
 
 
 def random_state(n0, n_obs, m, seed):
     """A sampled state with an asymmetric theta and a random injective sigma
-    that places one position at the last index nk - 1."""
+    that places one position at the last index nk - 1; also returns the
+    observed graph."""
     rng = np.random.default_rng(seed)
     g = Graph(n_obs, [(u, v) for u in range(n_obs) for v in range(u + 1, n_obs) if rng.random() < 0.3])
     k = smallest_power(n0, n_obs + m)
@@ -395,29 +524,56 @@ def random_state(n0, n_obs, m, seed):
     if state.nk - 1 not in state.sigma:
         state.sigma[rng.integers(state.n)] = state.nk - 1
     model = KroneckerModel(n0, rng.uniform(0.05, 0.95, size=(n0, n0)), k)
-    return state, model, rng
+    return state, model, g
 
 
 class TestDigitTableEstep:
+    """The array-backed E-step against scalar oracles that build their own
+    edge sets: an oracle never reads or writes the state under test."""
+
     CASES = [(2, 9, 3), (2, 16, 0), (3, 14, 6), (3, 5, 4), (4, 7, 2)]
 
     @pytest.mark.parametrize("n0, n_obs, m", CASES)
     def test_row_loglik_matches_pair_entries(self, n0, n_obs, m):
-        state, model, rng = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs)
-        _resample_missing(state, model, rng)
+        state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs)
+        _resample_missing(state, model, np.random.default_rng(7))
+        edges = set(g.edges()) | reference_resample_missing(state.sigma, n_obs, model, np.random.default_rng(7))
+        assert edges == set(state.as_graph().edges())
         free = sorted(set(range(state.nk)) - set(state.sigma.tolist()))
+        col_codes = _col_codes(state.digits[state.sigma], n0)
         for u in range(state.n):
-            for sigma_u in {int(state.sigma[u]), state.nk - 1, 0, *free[:2]}:
-                expect = reference_row_loglik(state, model, u, sigma_u)
-                assert _row_loglik(state, model, u, sigma_u) == expect
+            placements = sorted({int(state.sigma[u]), state.nk - 1, 0, *free[:2]})
+            p = _row_entries(model.theta, state.digits[placements], col_codes)
+            for s, row in zip(placements, p):
+                assert row.tolist() == [kron_entry(model, s, int(v)) for v in state.sigma]
+            expect = [reference_row_loglik(state.sigma, edges, model, u, s) for s in placements]
+            assert _row_loglik(p, state.adjacency_row(u), u).tolist() == expect
 
     @pytest.mark.parametrize("n0, n_obs, m", CASES)
     def test_resample_matches_pair_entries(self, n0, n_obs, m):
         state, model, _ = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 1)
-        _resample_missing(state, model, np.random.default_rng(5))
-        got = [set(nb) for nb in state.missing_neighbors]
-        reference_resample_missing(state, model, np.random.default_rng(5))
-        assert got == state.missing_neighbors
+        rng_got, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):  # each resample replaces the last one whole
+            _resample_missing(state, model, rng_got)
+            expect = reference_resample_missing(state.sigma, state.n_obs, model, rng_ref)
+            assert state_missing_edges(state) == expect
+            assert np.array_equal(state.missing[state.n_obs:], state.missing[state.n_obs:].T)
+        assert rng_got.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("n0, n_obs, m", CASES)
+    def test_mcmc_matches_scalar_form(self, n0, n_obs, m):
+        # Stacked rows and the pair read from x's rows give the scalar
+        # moves and swaps, proposal for proposal.
+        state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 2)
+        model = KroneckerModel(n0, _symmetrize(model.theta), model.k)  # the MH pair term assumes it
+        _resample_missing(state, model, np.random.default_rng(3))
+        edges = set(g.edges()) | reference_resample_missing(state.sigma, n_obs, model, np.random.default_rng(3))
+        rng_got, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        expect = reference_mcmc_sigma(state.sigma, edges, model, 300, rng_ref)
+        assert expect.tolist() != state.sigma.tolist()  # some proposals were taken
+        _mcmc_sigma(state, model, 300, rng_got)
+        assert state.sigma.tolist() == expect.tolist()
+        assert rng_got.random() == rng_ref.random()
 
     @pytest.mark.parametrize("n0", sorted(GOLDEN_FITS))
     def test_golden_fit(self, n0):
@@ -428,6 +584,57 @@ class TestDigitTableEstep:
         assert model.k == k
         assert mapping.sigma.tolist() == sigma
         np.testing.assert_allclose(model.theta, theta, rtol=1e-12, atol=0)
+
+
+def scalar_missing_block(model, sigma, n_obs, rng):
+    """One kron_entry and one rng.random() per pair u < v, v >= n_obs,
+    row-major (the sampler's scalar form)."""
+    n = sigma.size
+    edges = set()
+    for u in range(n - 1):
+        for v in range(max(u + 1, n_obs), n):
+            if rng.random() < kron_entry(model, int(sigma[u]), int(sigma[v])):
+                edges.add((u, v))
+    return edges
+
+
+class TestSampleMissingBlock:
+    @pytest.mark.parametrize("n_obs, m", [
+        (7, 0),     # no missing positions: no draw at all
+        (7, 1),
+        (0, 5),     # every position missing
+        (300, 3),   # two row blocks of observed rows
+        (520, 70),  # three row blocks, the last one inside the missing rows
+    ])
+    def test_matches_scalar_loop(self, n_obs, m):
+        n = n_obs + m
+        rng = np.random.default_rng(n_obs * 1000 + m)
+        k = smallest_power(2, max(n, 2))
+        model = KroneckerModel(2, np.array([[0.95, 0.7], [0.8, 0.5]]), k)  # asymmetric
+        sigma = rng.choice(2**k, size=n, replace=False)
+        rng_got, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+        us, vs = sample_missing_block(model, sigma, n_obs, rng_got)
+        expect = scalar_missing_block(model, sigma, n_obs, rng_ref)
+        got = list(zip(us.tolist(), vs.tolist()))
+        assert got == sorted(expect)  # row-major, each pair once
+        assert rng_got.random() == rng_ref.random()
+        if m:
+            assert expect  # the case draws some edges
+
+    def test_peak_memory_is_per_block(self):
+        n_obs, m = 20_000, 100
+        k = smallest_power(2, n_obs + m)
+        model = KroneckerModel(2, np.array([[0.5, 0.2], [0.2, 0.1]]), k)
+        sigma = np.random.default_rng(0).permutation(n_obs + m)
+        pairs = n_obs * m + m * (m - 1) // 2
+        all_at_once = 2 * pairs * 8  # probabilities and uniforms for every pair
+        tracemalloc.start()
+        try:
+            sample_missing_block(model, sigma, n_obs, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < all_at_once / 4, f"peak {peak / 1e6:.1f} MB"
 
 
 def aligned_error(theta_hat, theta_true):
