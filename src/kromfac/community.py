@@ -172,7 +172,8 @@ def row_gradient(f: np.ndarray, u: int, neighbors: Iterable[int], total: np.ndar
     return _gradient(nbr_rows @ f[u], nbr_rows, total - f[u])
 
 
-def _density_delta(n: int, edge_count: int) -> float:
+def density_delta(n: int, edge_count: int) -> float:
+    """default_delta of a graph with n >= 2 nodes and edge_count edges."""
     p_bg = 2.0 * edge_count / (n * (n - 1))
     p_bg = min(p_bg, 1.0 - 1e-9)
     return max(math.sqrt(-math.log1p(-p_bg)), DELTA_FLOOR)
@@ -186,12 +187,12 @@ def default_delta(g: Graph) -> float:
     """
     if g.n < 2:
         raise ValueError("need at least two nodes")
-    return _density_delta(g.n, g.edge_count)
+    return density_delta(g.n, g.edge_count)
 
 
 def _init_rows(n: int, edge_count: int, c: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    hi = math.sqrt(_density_delta(n, edge_count)) / c if n >= 2 else 0.1 / c
+    hi = math.sqrt(density_delta(n, edge_count)) / c if n >= 2 else 0.1 / c
     return rng.uniform(0.0, hi, size=(n, c))
 
 
@@ -237,8 +238,10 @@ def commun_det_prefixes(
     candidate; no candidate-by-node-by-degree table is built.
     """
     sizes = [int(n) for n in sizes]
-    if c < 1 or not sizes or sizes[0] < 1:
-        raise ValueError("need c >= 1 and a nonempty graph")
+    if c < 1:
+        raise ValueError(f"need c >= 1 communities, got {c}")
+    if not sizes or sizes[0] < 1:
+        raise ValueError("cannot detect communities on an empty graph (0 nodes)")
     if sizes[-1] > g.n or sizes != sorted(sizes) or len(seeds) != len(sizes):
         raise ValueError("need ascending sizes of at most g.n nodes, one seed each")
     indptr, indices, eu, ev = neighbour_arrays(g)

@@ -3,7 +3,9 @@
 The recovered structure keeps the observed graph untouched and stores the
 sampled bipartite block (observed x recovered) and the block among
 recovered nodes separately. Recovered nodes are addressed by full-graph
-ids N .. N+M-1 under their fixed internal order.
+ids N .. N+M-1 under their fixed internal order. Candidate graphs and
+degrees are assembled in numpy from the base graph's edge arrays and the
+recovered block's edges.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, neighbour_arrays
 from .kron import KroneckerModel, NodeMapping, sample_missing_block
 
 
@@ -30,6 +32,17 @@ class RecoveredGraph:
     @property
     def recovered_ids(self) -> list[int]:
         return list(range(self.base.n, self.base.n + self.m))
+
+    def block_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints (u, v) of the recovered-block edges, z1 then z2."""
+        pairs = np.array([*self.z1, *self.z2], dtype=np.intp).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
+    def degrees(self) -> np.ndarray:
+        """Degree of every node of the fully recovered graph (N + M nodes)."""
+        deg = np.bincount(np.concatenate(self.block_edges()), minlength=self.base.n + self.m)
+        deg[:self.base.n] += np.diff(neighbour_arrays(self.base)[0])
+        return deg
 
     def write(self, sink: TextIO) -> None:
         sink.write("#BASE\n")
@@ -118,12 +131,15 @@ def as_graph(rg: RecoveredGraph, i: int, order: Sequence[int] | None = None) -> 
     for r in chosen:
         if not (n <= r < n + rg.m):
             raise ValueError(f"{r} is not a recovered-node id")
-    new_id = {r: n + j for j, r in enumerate(chosen)}
-    edges = list(rg.base.edges())
-    for u, r in rg.z1:
-        if r in new_id:
-            edges.append((u, new_id[r]))
-    for r1, r2 in rg.z2:
-        if r1 in new_id and r2 in new_id:
-            edges.append((new_id[r1], new_id[r2]))
-    return Graph(n + i, edges)
+    # Full-graph id -> candidate id: observed nodes keep theirs, chosen
+    # recovered nodes take N, N+1, ... in order, the rest -1.
+    new_id = np.full(n + rg.m, -1, dtype=np.intp)
+    new_id[:n] = np.arange(n)
+    new_id[np.array(chosen, dtype=np.intp)] = np.arange(n, n + i)
+    ru, rv = (new_id[x] for x in rg.block_edges())
+    inside = (ru >= 0) & (rv >= 0)
+    ru, rv = ru[inside], rv[inside]
+    eu, ev = neighbour_arrays(rg.base)[2:]
+    eu = np.concatenate([eu, np.minimum(ru, rv)])
+    ev = np.concatenate([ev, np.maximum(ru, rv)])
+    return Graph.from_arrays(n + i, eu, ev)

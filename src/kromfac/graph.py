@@ -3,6 +3,13 @@
 Graphs are simple (no self-loops, no parallel edges) and use dense
 0-based integer node ids internally. External ids from input files are
 preserved through a :class:`NodeIdMap`.
+
+A graph is held in one of two forms and builds the other only when it is
+read: sorted per-node neighbour lists (`Graph(n, edges)` from tuples, as
+`load_edge_list` makes) or numpy CSR arrays (`Graph.from_arrays`, as the
+EM state and the candidate search make). `neighbour_arrays` returns the
+CSR, built at most once per graph; the pipeline hands graphs from stage
+to stage in that form.
 """
 from __future__ import annotations
 
@@ -40,9 +47,17 @@ class NodeIdMap:
 
 
 class Graph:
-    """Immutable simple undirected graph with sorted adjacency lists."""
+    """Immutable simple undirected graph.
 
-    __slots__ = ("n", "adjacency", "edge_count")
+    Built from tuples, it holds sorted adjacency lists and computes its
+    CSR arrays on the first `neighbour_arrays` call. Built by
+    `from_arrays`, it holds the CSR arrays (read-only) and computes the
+    lists on the first read of `adjacency`. Either way each form is built
+    at most once, and both give the same `adjacency`, `edges()`,
+    `degrees()` and `neighbour_arrays`.
+    """
+
+    __slots__ = ("n", "edge_count", "_adjacency", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -56,8 +71,47 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self.adjacency = [sorted(s) for s in adj]
-        self.edge_count = sum(len(a) for a in self.adjacency) // 2
+        self._adjacency = [sorted(s) for s in adj]
+        self.edge_count = sum(len(a) for a in self._adjacency) // 2
+        self._arrays = None
+
+    @classmethod
+    def from_arrays(cls, n: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
+        """The graph on n nodes with edges (eu[j], ev[j]), eu < ev, each
+        edge listed once, in any order."""
+        if n < 0:
+            raise ValueError("node count must be nonnegative")
+        eu = np.asarray(eu, dtype=np.intp)
+        ev = np.asarray(ev, dtype=np.intp)
+        if eu.shape != ev.shape or eu.ndim != 1:
+            raise ValueError("eu and ev must be 1-d arrays of one length")
+        if eu.size and not (eu.min() >= 0 and ev.max() < n and np.all(eu < ev)):
+            raise ValueError(f"need 0 <= eu < ev < n={n} for every edge")
+        # Each edge in both directions as the key w * n + x. Sorted, the keys
+        # list every node's neighbours in ascending order, and those with
+        # w < x list the edges sorted by (u, v).
+        keys = np.sort(np.concatenate([eu * n + ev, ev * n + eu]))
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("an edge is listed more than once")
+        src, indices = keys // n, keys % n
+        upper = src < indices
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        g = object.__new__(cls)
+        g.n = n
+        g.edge_count = int(eu.size)
+        g._adjacency = None
+        g._arrays = _frozen(indptr, indices, src[upper], indices[upper])
+        return g
+
+    @property
+    def adjacency(self) -> list[list[int]]:
+        """Sorted neighbour list of each node."""
+        if self._adjacency is None:
+            indptr, indices = self._arrays[:2]
+            flat, ends = indices.tolist(), indptr.tolist()
+            self._adjacency = [flat[a:b] for a, b in zip(ends, ends[1:])]
+        return self._adjacency
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
@@ -69,35 +123,45 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once, sorted by (u, v) with u < v."""
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
+        eu, ev = neighbour_arrays(self)[2:]
+        return zip(eu.tolist(), ev.tolist())
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.adjacency]
+        return np.diff(neighbour_arrays(self)[0]).tolist()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.adjacency == other.adjacency
-        )
+        if self is other:
+            return True
+        if not (isinstance(other, Graph) and self.n == other.n):
+            return False
+        mine, theirs = neighbour_arrays(self), neighbour_arrays(other)
+        return np.array_equal(mine[0], theirs[0]) and np.array_equal(mine[1], theirs[1])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def neighbour_arrays(g: Graph) -> tuple[np.ndarray, ...]:
     """CSR neighbour slices of g (the neighbours of u are
     indices[indptr[u]:indptr[u+1]]) and the endpoints (eu, ev) of each
-    edge once, u < v, sorted by (u, v)."""
-    indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum([len(a) for a in g.adjacency], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(indptr[-1]))
-    eu = np.repeat(np.arange(g.n, dtype=np.intp), np.diff(indptr))
-    keep = eu < indices
-    return indptr, indices, eu[keep], indices[keep]
+    edge once, u < v, sorted by (u, v).
+
+    Built at most once per graph and shared: the arrays are read-only."""
+    if g._arrays is None:
+        adjacency = g._adjacency
+        indptr = np.zeros(g.n + 1, dtype=np.intp)
+        np.cumsum([len(a) for a in adjacency], out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=int(indptr[-1]))
+        eu = np.repeat(np.arange(g.n, dtype=np.intp), np.diff(indptr))
+        keep = eu < indices
+        g._arrays = _frozen(indptr, indices, eu[keep], indices[keep])
+    return g._arrays
 
 
 def load_edge_list(source: Iterable[str] | TextIO) -> tuple[Graph, NodeIdMap]:

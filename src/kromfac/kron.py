@@ -212,16 +212,22 @@ def _pair_types(a_full, sigma: np.ndarray, n0: int, k: int) -> tuple[np.ndarray,
             codes = np.sort(dg[r0:r1, None, :] * n0 + dg[None, r0:, :], axis=2) @ q ** np.arange(k)
         e0, e1 = np.searchsorted(us, [r0, r1])
         edge_codes.append(codes[us[e0:e1] - r0, vs[e0:e1] - r0])
-        upper = codes[np.arange(r1 - r0)[:, None] < np.arange(n - r0)]
+        # The block's pairs u < v: the strict upper triangle of its diagonal
+        # square, and the whole rectangle to the right of the square.
+        b = r1 - r0
+        parts = (codes[:, :b][np.arange(b)[:, None] < np.arange(b)], codes[:, b:].ravel())
+        del codes  # free this block before the next one is built
         if dense:
-            counts = np.bincount(upper, minlength=space)
+            counts = np.bincount(parts[0], minlength=space) + np.bincount(parts[1], minlength=space)
             occupied = np.flatnonzero(counts)
-            counts = counts[occupied]
+            type_codes.append(occupied)
+            type_pairs.append(counts[occupied])
         else:
-            occupied, counts = np.unique(upper, return_counts=True)
-        type_codes.append(occupied)
-        type_pairs.append(counts)
-        del codes, upper  # free this block before the next one is built
+            for part in parts:
+                occupied, counts = np.unique(part, return_counts=True)
+                type_codes.append(occupied)
+                type_pairs.append(counts)
+        del parts
     types, inverse = np.unique(np.concatenate(type_codes), return_inverse=True)
     pairs = np.bincount(inverse, weights=np.concatenate(type_pairs))
     edges = np.bincount(np.searchsorted(types, np.concatenate(edge_codes)), minlength=types.size)
@@ -410,7 +416,9 @@ class _SampledState:
     position N + j are joined, so its bottom M x M block is symmetric with
     a False diagonal. Each Gibbs resample rewrites it whole from
     sample_missing_block, the sampler realize_missing also uses;
-    adjacency_row and as_graph read both parts.
+    adjacency_row and as_graph read both parts. as_graph hands the M-step
+    a Graph built from the observed and the missing edge arrays, with no
+    Python tuples in between.
     """
 
     def __init__(self, g_obs, m: int, n0: int, k: int):
@@ -437,9 +445,9 @@ class _SampledState:
         r, c = np.nonzero(self.missing)
         c += self.n_obs
         upper = r < c
-        eu = np.concatenate([self.eu, r[upper]]).tolist()
-        ev = np.concatenate([self.ev, c[upper]]).tolist()
-        return Graph(self.n, zip(eu, ev))
+        eu = np.concatenate([self.eu, r[upper]])
+        ev = np.concatenate([self.ev, c[upper]])
+        return Graph.from_arrays(self.n, eu, ev)
 
 
 def sample_missing_block(

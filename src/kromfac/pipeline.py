@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .community import Cover, DetectConfig, commun_det, commun_det_prefixes, default_delta, hard_decision
+from .community import Cover, DetectConfig, commun_det, commun_det_prefixes, density_delta, hard_decision
 from .completion import RecoveredGraph, as_graph, realize_missing
-from .graph import Graph
+from .graph import Graph, neighbour_arrays
 from .kron import EmConfig, KroneckerModel, NodeMapping, kronem_fit, random_theta_init
 from .ranking import Ranking, default_epsilon, select_influential
 
@@ -126,8 +126,9 @@ def kromfac(
             "no candidates to search: H=0 and i=0 excluded (set include_i0)"
         )
 
+    g_search = as_graph(rg, candidates[-1], ranking.order)
     results = commun_det_prefixes(
-        as_graph(rg, candidates[-1], ranking.order),
+        g_search,
         [g_obs.n + i for i in candidates],
         cfg.c,
         cfg.detect,
@@ -142,8 +143,7 @@ def kromfac(
             best = (reg, i, res)
 
     _, i_hat, res_hat = best
-    g_hat = as_graph(rg, i_hat, ranking.order)
-    cover = hard_decision(res_hat.f, resolve_delta(cfg.delta, g_hat))
+    cover = hard_decision(res_hat.f, resolve_delta(cfg.delta, g_search, g_obs.n + i_hat))
     trace = SearchTrace(
         lambda_value=lam,
         h=ranking.h,
@@ -154,13 +154,17 @@ def kromfac(
     return cover, trace
 
 
-def resolve_delta(delta: float | str, g: Graph) -> float:
-    """The membership threshold for a cover of g: `delta` itself, or for
-    AUTO default_delta(g), falling back to 1.0 when g has fewer than two
-    nodes."""
+def resolve_delta(delta: float | str, g: Graph, n: int | None = None) -> float:
+    """The membership threshold for a cover of g's first n nodes (all by
+    default): `delta` itself, or for AUTO the default_delta of the induced
+    subgraph on them, falling back to 1.0 below two nodes. The subgraph's
+    edges are counted from g's edge arrays; it is not built."""
     if delta != AUTO:
         return delta
-    return default_delta(g) if g.n >= 2 else 1.0
+    n = g.n if n is None else n
+    if n < 2:
+        return 1.0
+    return density_delta(n, int(np.count_nonzero(neighbour_arrays(g)[3] < n)))
 
 
 def complete(

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import RecoveredGraph, as_graph
+from .completion import RecoveredGraph
 from .graph import Graph
 
 
@@ -30,8 +30,7 @@ def select_influential(rg: RecoveredGraph, epsilon: float) -> Ranking:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    full = as_graph(rg, rg.m)
-    cen = {u: degree_centrality(full, u) for u in rg.recovered_ids}
+    cen = dict(zip(rg.recovered_ids, rg.degrees()[rg.n_observed:].tolist()))
     kept = sorted(
         (u for u, c in cen.items() if c >= epsilon),
         key=lambda u: (-cen[u], u),
@@ -41,7 +40,7 @@ def select_influential(rg: RecoveredGraph, epsilon: float) -> Ranking:
 
 def default_epsilon(rg: RecoveredGraph) -> float:
     """Half the maximum degree over the fully recovered graph."""
-    full = as_graph(rg, rg.m)
-    if full.n == 0:
+    deg = rg.degrees()
+    if deg.size == 0:
         raise ValueError("recovered graph is empty")
-    return max(full.degrees()) / 2.0
+    return int(deg.max()) / 2.0

@@ -120,6 +120,19 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err == "error: truth label '99' not in the edge list\n"
 
 
+    @pytest.mark.parametrize("command", [["detect", "--missing", "1", *FAST_EM], ["baseline1"]], ids=["detect", "baseline1"])
+    def test_empty_edge_list(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        args = [
+            *command, "--edges", str(empty), "--out", str(tmp_path / "o"),
+            "--communities", "2", "--seed", "0",
+        ]
+        assert run_command(args) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot detect communities on an empty graph (0 nodes)\n"
+
+
 class TestSample:
     def test_outputs_and_determinism(self, tmp_path):
         edges = two_cliques_file(tmp_path)

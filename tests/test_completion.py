@@ -140,7 +140,25 @@ def recovered_graphs(draw):
     return RecoveredGraph(base, m, frozenset(z1), frozenset(z2)), order
 
 
+def reference_as_graph(rg, i, order):
+    """as_graph assembled from edge tuples (test oracle)."""
+    n = rg.base.n
+    new_id = {r: n + j for j, r in enumerate(order[:i])}
+    edges = list(rg.base.edges())
+    edges += [(u, new_id[r]) for u, r in rg.z1 if r in new_id]
+    edges += [(new_id[a], new_id[b]) for a, b in rg.z2 if a in new_id and b in new_id]
+    return Graph(n + i, edges)
+
+
 class TestPrefixProperty:
+    @given(recovered_graphs())
+    def test_matches_tuple_assembly(self, case):
+        rg, order = case
+        for i in range(len(order) + 1):
+            got, expect = as_graph(rg, i, order), reference_as_graph(rg, i, order)
+            assert got == expect
+            assert list(got.edges()) == list(expect.edges())
+
     @given(recovered_graphs())
     def test_candidate_graph_is_prefix_of_largest(self, case):
         # commun_det_prefixes rests on this: candidate i's graph is the

@@ -1,13 +1,16 @@
 import io
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kromfac.graph import (
     EdgeListParseError,
     Graph,
     induced_subgraph,
     load_edge_list,
+    neighbour_arrays,
     write_edge_list,
 )
 
@@ -130,3 +133,76 @@ class TestInducedSubgraph:
             assert sub.degree(new) <= g.degree(old)
         covered = all(u in keep and v in keep for u, v in g.edges())
         assert (sub.edge_count == g.edge_count) == covered
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count (0 allowed) and an edge list that may hold reversed and
+    repeated pairs."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pair, max_size=30))
+
+
+class TestFromArrays:
+    @given(edge_lists(), st.randoms(use_true_random=False))
+    @example((0, []), random.Random(0))
+    @example((1, []), random.Random(0))
+    @example((5, [(3, 1), (1, 3), (1, 3), (4, 0)]), random.Random(0))  # reversed, repeated, isolated node 2
+    def test_matches_tuple_built(self, case, rnd):
+        # from_arrays takes each edge once as (u, v), u < v, in any order.
+        n, edges = case
+        canon = list({(min(e), max(e)) for e in edges})
+        rnd.shuffle(canon)
+        eu = np.array([u for u, _ in canon], dtype=np.intp)
+        ev = np.array([v for _, v in canon], dtype=np.intp)
+        built = Graph.from_arrays(n, eu, ev)
+        tupled = Graph(n, edges)
+        assert built == tupled and tupled == built
+        assert built.edge_count == tupled.edge_count
+        assert built.adjacency == tupled.adjacency
+        assert list(built.edges()) == list(tupled.edges())
+        assert built.degrees() == tupled.degrees()
+        for u in range(n):
+            for v in range(n):
+                assert built.has_edge(u, v) == tupled.has_edge(u, v)
+        for a, b in zip(neighbour_arrays(built), neighbour_arrays(tupled), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_each_form_built_once_and_read_only(self):
+        g = Graph(4, [(0, 1), (2, 1)])
+        assert g._arrays is None  # the tuple constructor builds no arrays
+        arrays = neighbour_arrays(g)
+        assert neighbour_arrays(g) is arrays
+        built = Graph.from_arrays(4, *arrays[2:])
+        assert built._adjacency is None  # nor the array constructor lists
+        assert built.adjacency is built.adjacency
+        for a in arrays + neighbour_arrays(built):
+            with pytest.raises(ValueError):
+                a[:1] = 0
+
+    def test_inputs_are_not_kept(self):
+        # The caller's arrays stay writable, and writing to them leaves the
+        # graph as it was.
+        eu, ev = np.array([1, 0]), np.array([2, 1])
+        g = Graph.from_arrays(3, eu, ev)
+        eu[0] = 0
+        assert list(g.edges()) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("eu, ev, match", [
+        ([0, 1, 0], [1, 2, 1], "more than once"),
+        ([1], [0], "eu < ev"),
+        ([1], [1], "eu < ev"),
+        ([0], [3], "eu < ev"),
+        ([-1], [1], "eu < ev"),
+        ([0, 1], [1], "one length"),
+    ])
+    def test_rejects_malformed_edges(self, eu, ev, match):
+        with pytest.raises(ValueError, match=match):
+            Graph.from_arrays(3, np.array(eu), np.array(ev))
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph.from_arrays(-1, np.array([], dtype=int), np.array([], dtype=int))

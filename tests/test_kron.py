@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kromfac.kron as kron_mod
-from kromfac.graph import Graph
+from kromfac.graph import Graph, neighbour_arrays
 from kromfac.kron import (
     EmConfig,
     KroneckerModel,
@@ -170,6 +170,8 @@ class TestPairTypeOracle:
         (2, 4, 12, 0.3),    # partial occupancy, fewer pairs than codes
         (2, 5, 30, 0.2),    # more pairs than codes
         (2, 9, 300, 0.02),  # two row blocks, edges crossing them
+        (3, 6, 300, 0.02),  # two row blocks, count codes tallied by np.unique
+        (8, 3, 300, 0.02),  # two row blocks, sorted codes tallied by np.unique
         (3, 2, 9, 0.4),     # full occupancy
         (3, 4, 60, 0.1),
         (8, 2, 40, 0.2),    # (k+1)**(n0**2 - 1) overflows int64
@@ -574,6 +576,22 @@ class TestDigitTableEstep:
         _mcmc_sigma(state, model, 300, rng_got)
         assert state.sigma.tolist() == expect.tolist()
         assert rng_got.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("n0, n_obs, m", CASES)
+    def test_as_graph_matches_tuple_built(self, n0, n_obs, m):
+        # The M-step's array-built graph against the graph built from the
+        # observed edges and the missing block's edges as tuples.
+        state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 3)
+        model = KroneckerModel(n0, _symmetrize(model.theta), model.k)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            _resample_missing(state, model, rng)
+            _mcmc_sigma(state, model, 40, rng)
+            expect = Graph(state.n, [*g.edges(), *state_missing_edges(state)])
+            got = state.as_graph()
+            for a, b in zip(neighbour_arrays(got), neighbour_arrays(expect), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert got == expect
 
     @pytest.mark.parametrize("n0", sorted(GOLDEN_FITS))
     def test_golden_fit(self, n0):

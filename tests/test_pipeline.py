@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kromfac import kron as kron_mod
 from kromfac.community import Cover, DetectConfig, commun_det, default_delta, hard_decision
 from kromfac.completion import as_graph
-from kromfac.graph import Graph
+from kromfac.graph import Graph, induced_subgraph
 from kromfac.kron import EmConfig
 from kromfac.pipeline import (
     AUTO,
@@ -36,14 +37,14 @@ def two_cliques(size=4):
     return Graph(2 * size, edges)
 
 
-def community_graph(seed=0, n=30, c=2):
+def community_graph(seed=0, n=30, c=2, p_in=0.5, p_out=0.02):
     rng = np.random.default_rng(seed)
     block = n // c
     edges = set()
     for u in range(n):
         for v in range(u + 1, n):
             same = u // block == v // block
-            p = 0.5 if same else 0.02
+            p = p_in if same else p_out
             if rng.random() < p:
                 edges.add((u, v))
     return Graph(n, edges)
@@ -154,6 +155,55 @@ class TestSearch:
             baseline2(g, replace(cfg, m=3), rg)
 
 
+# kromfac() on two planted two-block graphs (24 nodes, 0.7 inside a block,
+# 0.03 across): graph seed, config, EXACT_PAIR_LIMIT override, then the
+# cover, i_hat and the trace losses. "h_equals_m" pins epsilon so every
+# recovered node is ranked, in an order that is not the identity;
+# "approximate" runs the M-step above EXACT_PAIR_LIMIT. Each chosen cover
+# has every F entry at least 4% (relative) away from its threshold, so
+# last-bit BLAS differences cannot move a member.
+GOLDEN_RUNS = {
+    "h_equals_m": (
+        27,
+        KromfacConfig(m=4, c=2, em=FAST_EM, detect=DetectConfig(max_iters=100), seed=27, epsilon=0.5),
+        None,
+        (27, 26, 24, 25),
+        [[12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23], [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11]],
+        4,
+        [96.32458726830319, 103.0395965039994, 110.82426208642613, 114.35594045065267, 117.76328521632382],
+    ),
+    "approximate": (
+        4,
+        KromfacConfig(
+            m=6, c=2, em=EmConfig(em_iters=4, grad_steps=20, mcmc_samples=60, learning_rate=1e-3),
+            detect=DetectConfig(max_iters=100), seed=4,
+        ),
+        1,
+        (27, 25, 26, 29),
+        [[12, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25], [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]],
+        4,
+        [82.07228391354953, 98.29592153393403, 114.21023432774842, 130.47215866357993, 146.58275370087574],
+    ),
+}
+
+
+class TestGoldenPipeline:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_golden_pipeline(self, monkeypatch, name):
+        # A change to these values forks the EM sample path or the search:
+        # update them only together with a note on why the outputs moved.
+        graph_seed, cfg, limit, order, communities, i_hat, losses = GOLDEN_RUNS[name]
+        if limit is not None:
+            monkeypatch.setattr(kron_mod, "EXACT_PAIR_LIMIT", limit)
+        g = community_graph(graph_seed, n=24, p_in=0.7, p_out=0.03)
+        cover, trace = kromfac(g, cfg)
+        assert _recover_and_rank(g, cfg)[1].order == order
+        assert [sorted(com) for com in cover.communities] == communities
+        assert cover.universe == g.n + i_hat
+        assert trace.i_hat == i_hat and trace.h == len(order)
+        np.testing.assert_allclose([e.loss for e in trace.entries], losses, rtol=1e-9, atol=0)
+
+
 class TestBaselines:
     def test_baseline1_recovers_cliques(self):
         g = two_cliques()
@@ -203,6 +253,15 @@ class TestResolveDelta:
     def test_auto_uses_default_delta(self):
         g = two_cliques()
         assert resolve_delta(AUTO, g) == default_delta(g)
+
+    def test_prefix_counts_only_its_own_edges(self):
+        # kromfac takes i_hat's threshold from the largest candidate's graph.
+        g = community_graph(8, n=12)
+        for n in range(2, g.n + 1):
+            prefix, _ = induced_subgraph(g, set(range(n)))
+            assert resolve_delta(AUTO, g, n) == default_delta(prefix)
+        assert resolve_delta(AUTO, g, 1) == 1.0
+        assert resolve_delta(0.3, g, 5) == 0.3
 
     def test_auto_below_two_nodes_is_one(self):
         assert resolve_delta(AUTO, Graph(1, [])) == 1.0

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from kromfac.completion import RecoveredGraph, as_graph
+from kromfac.completion import RecoveredGraph
 from kromfac.graph import Graph
-from kromfac.ranking import default_epsilon, degree_centrality, select_influential
+from kromfac.ranking import Ranking, default_epsilon, degree_centrality, select_influential
 
 
 def star(leaves):
@@ -85,3 +86,49 @@ class TestDefaultEpsilon:
         cycle = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
         rg = RecoveredGraph(base=cycle, m=0, z1=frozenset(), z2=frozenset())
         assert default_epsilon(rg) == 1.0
+
+
+def full_graph(rg):
+    """The fully recovered graph assembled from edge tuples (test oracle)."""
+    edges = list(rg.base.edges()) + list(rg.z1) + list(rg.z2)
+    return Graph(rg.base.n + rg.m, edges)
+
+
+def reference_ranking(rg, epsilon):
+    """select_influential from full_graph's degrees."""
+    full = full_graph(rg)
+    cen = {u: degree_centrality(full, u) for u in rg.recovered_ids}
+    kept = sorted((u for u, c in cen.items() if c >= epsilon), key=lambda u: (-cen[u], u))
+    return Ranking(h=len(kept), order=tuple(kept), centrality=cen, epsilon=epsilon)
+
+
+@st.composite
+def recovered_graphs(draw):
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 5))
+
+    def pairs(lo1, hi1, lo2, hi2):
+        if lo1 > hi1 or lo2 > hi2:
+            return set()
+        edge = st.tuples(st.integers(lo1, hi1), st.integers(lo2, hi2))
+        return draw(st.sets(edge.filter(lambda e: e[0] < e[1]), max_size=20))
+
+    base = Graph(n, pairs(0, n - 1, 0, n - 1))
+    z1 = pairs(0, n - 1, n, n + m - 1)
+    z2 = pairs(n, n + m - 1, n, n + m - 1)
+    return RecoveredGraph(base, m, frozenset(z1), frozenset(z2))
+
+
+class TestDegreeOracle:
+    @given(recovered_graphs(), st.sampled_from([0.5, 1, 2, 3.5, 6]))
+    def test_select_influential_matches_full_graph(self, rg, epsilon):
+        assert select_influential(rg, epsilon) == reference_ranking(rg, epsilon)
+
+    @given(recovered_graphs())
+    def test_default_epsilon_matches_full_graph(self, rg):
+        full = full_graph(rg)
+        if full.n == 0:
+            with pytest.raises(ValueError, match="empty"):
+                default_epsilon(rg)
+        else:
+            assert default_epsilon(rg) == max(full.degrees()) / 2.0
