@@ -6,14 +6,14 @@ experiment. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import secrets
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .community import Cover, DetectConfig
-from .evaluation import SampleSpec, nmi, run_experiment
+from .evaluation import SampleSpec, ff_sample, nmi, rn_sample, run_experiment
 from .graph import NodeIdMap, load_edge_list, write_edge_list
 from .kron import EmConfig
 from .pipeline import AUTO, KromfacConfig, baseline1, baseline2, complete, detect_seed, kromfac, subseed
@@ -72,6 +72,16 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=_count(1), default=200)
 
 
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--epsilon", type=_threshold, default=AUTO,
+                   help="influential-node threshold, or 'auto' = k_max/2 (default)")
+    p.add_argument("--lambda-coef", type=float, default=10.0,
+                   help="regularization coefficient c in lambda = c*N (default 10)")
+    p.add_argument("--lambda", dest="lambda_abs", type=float, default=None,
+                   help="absolute lambda override")
+    p.add_argument("--no-i0", action="store_true", help="exclude i=0 from the search")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kromfac",
@@ -84,13 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detect_flags(p)
     _add_em_flags(p)
     p.add_argument("--missing", type=int, required=True, help="missing-node count M")
-    p.add_argument("--epsilon", type=_threshold, default=AUTO,
-                   help="influential-node threshold, or 'auto' = k_max/2 (default)")
-    p.add_argument("--lambda-coef", type=float, default=10.0,
-                   help="regularization coefficient c in lambda = c*N (default 10)")
-    p.add_argument("--lambda", dest="lambda_abs", type=float, default=None,
-                   help="absolute lambda override")
-    p.add_argument("--no-i0", action="store_true", help="exclude i=0 from the search")
+    _add_search_flags(p)
 
     p = sub.add_parser("baseline1", help="detection on the observed graph only")
     _add_common(p)
@@ -129,10 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("rn", "ff"), default="rn")
     p.add_argument("--fraction", type=float, default=0.7)
     p.add_argument("--p-forward", type=float, default=0.7)
-    p.add_argument("--epsilon", type=_threshold, default=AUTO)
-    p.add_argument("--lambda-coef", type=float, default=10.0)
-    p.add_argument("--lambda", dest="lambda_abs", type=float, default=None)
-    p.add_argument("--no-i0", action="store_true")
+    _add_search_flags(p)
 
     return parser
 
@@ -243,8 +244,6 @@ def _cmd_complete(args) -> int:
     out = Path(args.out)
     _write(out, "theta.json", model.to_json() + "\n")
     _write(out, "mapping.json", mapping.to_json() + "\n")
-    import io
-
     buf = io.StringIO()
     rg.write(buf)
     _write(out, "recovered.txt", buf.getvalue())
@@ -258,13 +257,9 @@ def _cmd_sample(args) -> int:
     spec = SampleSpec(
         strategy=args.strategy, fraction=args.fraction, p_forward=args.p_forward, seed=seed
     )
-    from .evaluation import ff_sample, rn_sample
-
     sub, kept = (rn_sample if args.strategy == "rn" else ff_sample)(g, spec)
     out = Path(args.out)
     kept_sorted = sorted(kept)
-    import io
-
     buf = io.StringIO()
     sub_map = NodeIdMap(
         {id_map.external(old): new for new, old in enumerate(kept_sorted)},

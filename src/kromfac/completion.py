@@ -2,28 +2,53 @@
 
 The recovered structure keeps the observed graph untouched and stores the
 sampled bipartite block (observed x recovered) and the block among
-recovered nodes separately. Recovered nodes are addressed by full-graph
-ids N .. N+M-1 under their fixed internal order. Candidate graphs and
-degrees are assembled in numpy from the base graph's edge arrays and the
+recovered nodes separately, each as a read-only (k, 2) array of edges
+sorted by (u, v). Recovered nodes are addressed by full-graph ids
+N .. N+M-1 under their fixed internal order. Candidate graphs and degrees
+are assembled in numpy from the base graph's edge arrays and the
 recovered block's edges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from dataclasses import dataclass
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .graph import Graph, neighbour_arrays
+from .graph import Graph, neighbour_arrays, unique_pairs
 from .kron import KroneckerModel, NodeMapping, sample_missing_block
 
 
-@dataclass(frozen=True)
+def _edge_rows(pairs: np.ndarray | Iterable[tuple[int, int]], n: int) -> np.ndarray:
+    """The distinct unordered pairs of ids in [0, n) as a read-only (k, 2)
+    intp array of rows (u, v), u < v, sorted by (u, v)."""
+    rows = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+    rows = rows.reshape(len(rows), 2)
+    if rows.size and not (rows.dtype.kind in "iu" and rows.min() >= 0 and rows.max() < n):
+        raise ValueError(f"a recovered-block edge is not a pair of ids in [0, N + M = {n})")
+    rows = np.column_stack(unique_pairs(n, *rows.astype(np.intp).T))
+    rows.flags.writeable = False
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
 class RecoveredGraph:
+    """The observed graph plus the realized missing block. `z1` and `z2`
+    take any iterable of pairs and are stored as `_edge_rows` arrays."""
+
     base: Graph
     m: int
-    z1: frozenset  # (u, r) with u in [0, N), r in [N, N+M)
-    z2: frozenset  # (r1, r2) with N <= r1 < r2 < N+M
+    z1: np.ndarray  # rows (u, r) with u in [0, N), r in [N, N+M)
+    z2: np.ndarray  # rows (r1, r2) with N <= r1 < r2 < N+M
+
+    def __post_init__(self):
+        object.__setattr__(self, "z1", _edge_rows(self.z1, self.base.n + self.m))
+        object.__setattr__(self, "z2", _edge_rows(self.z2, self.base.n + self.m))
+
+    def __eq__(self, other) -> bool:
+        if not (isinstance(other, RecoveredGraph) and self.m == other.m and self.base == other.base):
+            return False
+        return np.array_equal(self.z1, other.z1) and np.array_equal(self.z2, other.z2)
 
     @property
     def n_observed(self) -> int:
@@ -35,7 +60,7 @@ class RecoveredGraph:
 
     def block_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints (u, v) of the recovered-block edges, z1 then z2."""
-        pairs = np.array([*self.z1, *self.z2], dtype=np.intp).reshape(-1, 2)
+        pairs = np.concatenate([self.z1, self.z2])
         return pairs[:, 0], pairs[:, 1]
 
     def degrees(self) -> np.ndarray:
@@ -48,39 +73,27 @@ class RecoveredGraph:
         sink.write("#BASE\n")
         for u, v in self.base.edges():
             sink.write(f"{u} {v}\n")
-        sink.write("#Z1\n")
-        for u, r in sorted(self.z1):
-            sink.write(f"{u} {r}\n")
-        sink.write("#Z2\n")
-        for r1, r2 in sorted(self.z2):
-            sink.write(f"{r1} {r2}\n")
+        for header, rows in (("#Z1", self.z1), ("#Z2", self.z2)):
+            sink.write(f"{header}\n")
+            for u, v in rows.tolist():
+                sink.write(f"{u} {v}\n")
 
     @classmethod
     def read(cls, source, n_observed: int, m: int) -> "RecoveredGraph":
+        sections: dict[str, list[tuple[int, int]]] = {"#BASE": [], "#Z1": [], "#Z2": []}
         section = None
-        base_edges, z1, z2 = [], set(), set()
         for raw in source:
             line = raw.strip()
             if not line:
                 continue
-            if line in ("#BASE", "#Z1", "#Z2"):
-                section = line
+            if line in sections:
+                section = sections[line]
                 continue
-            u, v = (int(t) for t in line.split())
-            if section == "#BASE":
-                base_edges.append((u, v))
-            elif section == "#Z1":
-                z1.add((u, v))
-            elif section == "#Z2":
-                z2.add((min(u, v), max(u, v)))
-            else:
+            if section is None:
                 raise ValueError("edge line before a section header")
-        return cls(
-            base=Graph(n_observed, base_edges),
-            m=m,
-            z1=frozenset(z1),
-            z2=frozenset(z2),
-        )
+            u, v = (int(t) for t in line.split())
+            section.append((u, v))
+        return cls(Graph(n_observed, sections["#BASE"]), m, sections["#Z1"], sections["#Z2"])
 
 
 def realize_missing(
@@ -106,10 +119,9 @@ def realize_missing(
         raise ValueError(f"index out of range for n0^k={model.num_indices}")
     rng = np.random.default_rng(seed)
     us, vs = sample_missing_block(model, sigma, g_obs.n, rng)
+    pairs = np.column_stack([us, vs])
     observed = us < g_obs.n
-    z1 = zip(us[observed].tolist(), vs[observed].tolist())
-    z2 = zip(us[~observed].tolist(), vs[~observed].tolist())
-    return RecoveredGraph(base=g_obs, m=m, z1=frozenset(z1), z2=frozenset(z2))
+    return RecoveredGraph(base=g_obs, m=m, z1=pairs[observed], z2=pairs[~observed])
 
 
 def as_graph(rg: RecoveredGraph, i: int, order: Sequence[int] | None = None) -> Graph:

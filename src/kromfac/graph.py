@@ -4,19 +4,18 @@ Graphs are simple (no self-loops, no parallel edges) and use dense
 0-based integer node ids internally. External ids from input files are
 preserved through a :class:`NodeIdMap`.
 
-A graph is held in one of two forms and builds the other only when it is
-read: sorted per-node neighbour lists (`Graph(n, edges)` from tuples, as
-`load_edge_list` makes) or numpy CSR arrays (`Graph.from_arrays`, as the
-EM state and the candidate search make). `neighbour_arrays` returns the
-CSR, built at most once per graph; the pipeline hands graphs from stage
-to stage in that form.
+A graph is stored in one form only: read-only numpy CSR arrays, built
+when the graph is constructed (`Graph(n, edges)` from pairs, as
+`load_edge_list` makes it, or `Graph.from_arrays`, as the EM state and
+the candidate search make it). `neighbour_arrays` returns them, and the
+pipeline hands graphs from stage to stage in that form. The sorted
+neighbour lists of `adjacency` are derived from the CSR on first read.
 """
 from __future__ import annotations
 
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -49,44 +48,46 @@ class NodeIdMap:
 class Graph:
     """Immutable simple undirected graph.
 
-    Built from tuples, it holds sorted adjacency lists and computes its
-    CSR arrays on the first `neighbour_arrays` call. Built by
-    `from_arrays`, it holds the CSR arrays (read-only) and computes the
-    lists on the first read of `adjacency`. Either way each form is built
-    at most once, and both give the same `adjacency`, `edges()`,
-    `degrees()` and `neighbour_arrays`.
+    It holds its CSR arrays (read-only, see `neighbour_arrays`) and
+    nothing else of its edges; `adjacency` is a list view derived from
+    them on first read and cached.
     """
 
     __slots__ = ("n", "edge_count", "_adjacency", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise ValueError("node count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self.n = n
-        self._adjacency = [sorted(s) for s in adj]
-        self.edge_count = sum(len(a) for a in self._adjacency) // 2
-        self._arrays = None
+        """The graph on n nodes with the (u, v) pairs; reversed and repeated pairs collapse."""
+        edges = list(edges)
+        pairs = np.array(edges).reshape(len(edges), 2)
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError(f"node ids must be integers, got {pairs.dtype}")
+        u, v = pairs.astype(np.intp).T
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+        if bad.any():
+            a, b = edges[int(np.argmax(bad))]
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            raise ValueError(f"self-loop at node {a}")
+        self._build(n, *unique_pairs(n, u, v))
 
     @classmethod
     def from_arrays(cls, n: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
         """The graph on n nodes with edges (eu[j], ev[j]), eu < ev, each
         edge listed once, in any order."""
-        if n < 0:
-            raise ValueError("node count must be nonnegative")
         eu = np.asarray(eu, dtype=np.intp)
         ev = np.asarray(ev, dtype=np.intp)
         if eu.shape != ev.shape or eu.ndim != 1:
             raise ValueError("eu and ev must be 1-d arrays of one length")
         if eu.size and not (eu.min() >= 0 and ev.max() < n and np.all(eu < ev)):
             raise ValueError(f"need 0 <= eu < ev < n={n} for every edge")
+        g = object.__new__(cls)
+        g._build(n, eu, ev)
+        return g
+
+    def _build(self, n: int, eu: np.ndarray, ev: np.ndarray) -> None:
+        """Store the CSR of the edges (eu[j], ev[j]), 0 <= eu < ev < n."""
+        if n < 0:
+            raise ValueError("node count must be nonnegative")
         # Each edge in both directions as the key w * n + x. Sorted, the keys
         # list every node's neighbours in ascending order, and those with
         # w < x list the edges sorted by (u, v).
@@ -97,24 +98,23 @@ class Graph:
         upper = src < indices
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        g = object.__new__(cls)
-        g.n = n
-        g.edge_count = int(eu.size)
-        g._adjacency = None
-        g._arrays = _frozen(indptr, indices, src[upper], indices[upper])
-        return g
+        self.n = n
+        self.edge_count = int(eu.size)
+        self._arrays = (indptr, indices, src[upper], indices[upper])
+        for a in self._arrays:
+            a.flags.writeable = False
+        self._adjacency = None
 
     @property
     def adjacency(self) -> list[list[int]]:
         """Sorted neighbour list of each node."""
         if self._adjacency is None:
-            indptr, indices = self._arrays[:2]
-            flat, ends = indices.tolist(), indptr.tolist()
+            flat, ends = self._arrays[1].tolist(), self._arrays[0].tolist()
             self._adjacency = [flat[a:b] for a, b in zip(ends, ends[1:])]
         return self._adjacency
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+        return int(self._arrays[0][u + 1] - self._arrays[0][u])
 
     def has_edge(self, u: int, v: int) -> bool:
         a = self.adjacency[u]
@@ -123,28 +123,28 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once, sorted by (u, v) with u < v."""
-        eu, ev = neighbour_arrays(self)[2:]
+        eu, ev = self._arrays[2:]
         return zip(eu.tolist(), ev.tolist())
 
     def degrees(self) -> list[int]:
-        return np.diff(neighbour_arrays(self)[0]).tolist()
+        return np.diff(self._arrays[0]).tolist()
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not (isinstance(other, Graph) and self.n == other.n):
             return False
-        mine, theirs = neighbour_arrays(self), neighbour_arrays(other)
+        mine, theirs = self._arrays, other._arrays
         return np.array_equal(mine[0], theirs[0]) and np.array_equal(mine[1], theirs[1])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def unique_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct unordered pairs {u[j], v[j]} (u != v, both in [0, n))
+    as edge arrays (eu, ev), eu < ev, sorted by (u, v)."""
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys >= 0: the first is kept
+    return keys // n, keys % n
 
 
 def neighbour_arrays(g: Graph) -> tuple[np.ndarray, ...]:
@@ -152,15 +152,8 @@ def neighbour_arrays(g: Graph) -> tuple[np.ndarray, ...]:
     indices[indptr[u]:indptr[u+1]]) and the endpoints (eu, ev) of each
     edge once, u < v, sorted by (u, v).
 
-    Built at most once per graph and shared: the arrays are read-only."""
-    if g._arrays is None:
-        adjacency = g._adjacency
-        indptr = np.zeros(g.n + 1, dtype=np.intp)
-        np.cumsum([len(a) for a in adjacency], out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=int(indptr[-1]))
-        eu = np.repeat(np.arange(g.n, dtype=np.intp), np.diff(indptr))
-        keep = eu < indices
-        g._arrays = _frozen(indptr, indices, eu[keep], indices[keep])
+    These are the graph's stored arrays, shared by every caller: they are
+    read-only."""
     return g._arrays
 
 
@@ -173,16 +166,9 @@ def load_edge_list(source: Iterable[str] | TextIO) -> tuple[Graph, NodeIdMap]:
     first-seen order.
     """
     to_internal: dict = {}
-    to_external: list = []
-    edges: set[tuple[int, int]] = set()
+    us: list[int] = []
+    vs: list[int] = []
     dropped_loops = 0
-
-    def intern(token):
-        if token not in to_internal:
-            to_internal[token] = len(to_external)
-            to_external.append(token)
-        return to_internal[token]
-
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -190,16 +176,18 @@ def load_edge_list(source: Iterable[str] | TextIO) -> tuple[Graph, NodeIdMap]:
         tokens = line.split()
         if len(tokens) != 2:
             raise EdgeListParseError(line_no, raw.rstrip("\n"))
-        u, v = intern(tokens[0]), intern(tokens[1])
+        u, v = (to_internal.setdefault(t, len(to_internal)) for t in tokens)
         if u == v:
             dropped_loops += 1
             continue
-        edges.add((min(u, v), max(u, v)))
+        us.append(u)
+        vs.append(v)
 
     if dropped_loops:
         logger.warning("dropped %d self-loop(s) during edge-list ingestion", dropped_loops)
-    g = Graph(len(to_external), edges)
-    return g, NodeIdMap(to_internal, to_external)
+    n = len(to_internal)
+    eu, ev = unique_pairs(n, np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp))
+    return Graph.from_arrays(n, eu, ev), NodeIdMap(to_internal, list(to_internal))
 
 
 def write_edge_list(g: Graph, sink: TextIO, id_map: NodeIdMap | None = None) -> None:
@@ -217,10 +205,11 @@ def induced_subgraph(g: Graph, keep: set[int]) -> tuple[Graph, NodeIdMap]:
         if not (0 <= u < g.n):
             raise ValueError(f"node {u} out of range for n={g.n}")
     kept = sorted(keep)
+    # Original id -> new id: kept nodes in ascending order, the rest -1. The
+    # map is increasing, so each kept edge keeps u < v.
+    new_id = np.full(g.n, -1, dtype=np.intp)
+    new_id[np.array(kept, dtype=np.intp)] = np.arange(len(kept))
+    eu, ev = (new_id[x] for x in neighbour_arrays(g)[2:])
+    inside = (eu >= 0) & (ev >= 0)
     remap = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in g.edges()
-        if u in remap and v in remap
-    ]
-    return Graph(len(kept), edges), NodeIdMap(remap, kept)
+    return Graph.from_arrays(len(kept), eu[inside], ev[inside]), NodeIdMap(remap, kept)

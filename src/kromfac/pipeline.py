@@ -173,6 +173,8 @@ def complete(
     """Fit the Kronecker model to g_obs with m missing nodes and realize
     the missing part; every random draw comes from a sub-seed of `seed`
     (em.seed is replaced)."""
+    if g_obs.n == 0:
+        raise ValueError("cannot complete an empty observed graph (0 nodes)")
     theta_init = random_theta_init(n0, np.random.default_rng(subseed(seed, _SEED_THETA_INIT)))
     em = replace(em, seed=subseed(seed, _SEED_EM))
     model, mapping = kronem_fit(g_obs, m, n0, theta_init, em)
@@ -182,6 +184,8 @@ def complete(
 
 def _recovered(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None) -> RecoveredGraph:
     """`rg` checked against g_obs and cfg.m, or a fresh `complete` run."""
+    if g_obs.n == 0:
+        raise ValueError("cannot detect communities on an empty graph (0 nodes)")
     if rg is None:
         return complete(g_obs, cfg.m, cfg.n0, cfg.em, cfg.seed)[2]
     if rg.m != cfg.m or rg.base != g_obs:

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 
 import pytest
 
+from kromfac import pipeline
 from kromfac.cli import build_parser, run_command
 from kromfac.graph import load_edge_list
 from kromfac.kron import EmConfig
@@ -10,6 +12,10 @@ from kromfac.pipeline import complete
 
 FAST_EM = ["--em-iters", "2", "--grad-steps", "4", "--mcmc-samples", "40"]
 FAST_DETECT = ["--max-iters", "40"]
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("the Kronecker fit ran")
 
 
 def two_cliques_file(tmp_path, name="g.txt", size=4):
@@ -120,8 +126,13 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err == "error: truth label '99' not in the edge list\n"
 
 
-    @pytest.mark.parametrize("command", [["detect", "--missing", "1", *FAST_EM], ["baseline1"]], ids=["detect", "baseline1"])
-    def test_empty_edge_list(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", [
+        ["detect", "--missing", "1", *FAST_EM],
+        ["baseline1"],
+        ["baseline2", "--missing", "1", *FAST_EM],
+    ], ids=["detect", "baseline1", "baseline2"])
+    def test_empty_edge_list(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(pipeline, "kronem_fit", no_fit)
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")
         args = [
@@ -131,6 +142,18 @@ class TestRuntimeErrors:
         assert run_command(args) == 1
         err = capsys.readouterr().err
         assert err == "error: cannot detect communities on an empty graph (0 nodes)\n"
+
+    def test_complete_on_empty_edge_list(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "kronem_fit", no_fit)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        args = [
+            "complete", "--edges", str(empty), "--out", str(tmp_path / "o"),
+            "--missing", "3", "--seed", "0",
+        ]
+        assert run_command(args) == 1
+        assert capsys.readouterr().err == "error: cannot complete an empty observed graph (0 nodes)\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSample:
@@ -240,6 +263,40 @@ class TestComplete:
         assert (out / "theta.json").read_text() == model.to_json() + "\n"
         assert (out / "mapping.json").read_text() == mapping.to_json() + "\n"
         assert (out / "recovered.txt").read_text() == buf.getvalue()
+
+
+# sha256 of the files that `complete` and `sample` write for the two
+# 5-cliques of test_cli_determinism with seed 3 and its fast EM flags.
+# `sample` draws no floats; `complete` rests on the same exact-sigma
+# stability as test_golden_fit. A change to these values changes a CLI
+# artefact: update them only together with a note on why the bytes moved.
+GOLDEN_ARTEFACTS = {
+    "complete": {
+        "recovered.txt": "2fb149bce28b684c7ef5f8569f3fa9f6e4c99639ac52eb36ab6210dd6497fd4e",
+        "mapping.json": "5b6cb4475e78d8f4a70be428db7c05d6297eee1564a111323bc2968b27ec97e2",
+    },
+    "sample": {
+        "sampled.txt": "adef35f24f011f263e5e5daedb827096129933775de684391d74e888ad2cbc3a",
+        "kept.txt": "392306f996c5ec31929420a36d7e67517d9235484e90bc2299af0698c82fde60",
+    },
+}
+
+
+class TestGoldenArtefacts:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_ARTEFACTS))
+    def test_sha256(self, tmp_path, command):
+        edges = two_cliques_file(tmp_path, size=5)
+        args = {
+            "complete": ["complete", "--missing", "2", *FAST_EM],
+            "sample": ["sample", "--strategy", "ff", "--fraction", "0.6"],
+        }[command]
+        out = tmp_path / "out"
+        assert run_command([*args, "--edges", str(edges), "--seed", "3", "--out", str(out)]) == 0
+        got = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_ARTEFACTS[command]
+        }
+        assert got == GOLDEN_ARTEFACTS[command]
 
 
 class TestEval:

@@ -417,7 +417,7 @@ class TestLockstepOracle:
     def test_isolated_recovered_node(self):
         rg = planted_recovered(4)
         lonely = 22
-        rg = recovered(rg.base, 7, rg.z1, rg.z2)  # node 22 has no edges
+        rg = RecoveredGraph(rg.base, 7, rg.z1, rg.z2)  # node 22 has no edges
         order = [18, lonely, 16, 21, 17, 20, 19]
         lockstep_matches_alone(rg, order, list(range(8)), 3, DetectConfig(max_iters=40))
         assert as_graph(rg, 2, order).degree(17) == 0

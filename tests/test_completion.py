@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from kromfac.completion import RecoveredGraph, as_graph, realize_missing
 from kromfac.graph import Graph, induced_subgraph
 from kromfac.kron import KroneckerModel, NodeMapping, kron_entry
+from test_kron import scalar_missing_block
 
 THETA = np.array([[0.9, 0.5], [0.5, 0.3]])
 
@@ -24,7 +25,7 @@ class TestRealizeMissing:
         g = path_graph(4)
         model = KroneckerModel(2, THETA, 2)
         rg = realize_missing(g, model, mapping(4, 4), 0, seed=0)
-        assert rg.z1 == frozenset() and rg.z2 == frozenset()
+        assert rg == RecoveredGraph(g, 0, [], [])
         assert as_graph(rg, 0) == g
 
     def test_floor_theta_rarely_fires(self):
@@ -73,7 +74,7 @@ class TestRealizeMissing:
         g = path_graph(5)
         rg1 = realize_missing(g, model, mapping(8, 5), 3, seed=9)
         rg2 = realize_missing(g, model, mapping(8, 5), 3, seed=9)
-        assert rg1.z1 == rg2.z1 and rg1.z2 == rg2.z2
+        assert rg1 == rg2
 
 
 class TestAsGraph:
@@ -182,4 +183,66 @@ class TestSerialization:
         rg.write(buf)
         back = RecoveredGraph.read(io.StringIO(buf.getvalue()), n_observed=3, m=2)
         assert back.base == rg.base
-        assert back.z1 == rg.z1 and back.z2 == rg.z2
+        assert back == rg
+
+    def test_write_lists_each_block_sorted(self):
+        rg = RecoveredGraph(Graph(3, [(2, 1), (0, 1)]), 3, [(2, 4), (0, 5), (0, 3)], [(5, 3), (4, 3)])
+        buf = io.StringIO()
+        rg.write(buf)
+        assert buf.getvalue() == "#BASE\n0 1\n1 2\n#Z1\n0 3\n0 5\n2 4\n#Z2\n3 4\n3 5\n"
+
+    @given(recovered_graphs())
+    def test_write_read_round_trip(self, case):
+        rg, _ = case
+        buf = io.StringIO()
+        rg.write(buf)
+        back = RecoveredGraph.read(io.StringIO(buf.getvalue()), n_observed=rg.base.n, m=rg.m)
+        assert back == rg
+
+
+class TestBlockArrays:
+    def canonical(self):
+        return RecoveredGraph(Graph(3, [(0, 1)]), 3, [(0, 3), (1, 5), (2, 3)], [(3, 4), (4, 5)])
+
+    def test_arrays_are_sorted_read_only_edge_rows(self):
+        rg = self.canonical()
+        for z, expect in ((rg.z1, [[0, 3], [1, 5], [2, 3]]), (rg.z2, [[3, 4], [4, 5]])):
+            assert z.dtype == np.intp and z.shape == (len(expect), 2)
+            assert z.tolist() == expect
+            with pytest.raises(ValueError):
+                z[:1] = 0
+        assert (len(rg.z1), len(rg.z2)) == (3, 2)  # edge counts
+
+    def test_reversed_repeated_and_shuffled_pairs_equal_canonical(self):
+        rg = self.canonical()
+        z1 = [(2, 3), (1, 5), (0, 3), (2, 3)]
+        z2 = [(5, 4), (3, 4), (4, 5), (4, 3)]
+        other = RecoveredGraph(Graph(3, [(1, 0)]), 3, frozenset(z1), z2)
+        assert other == rg and rg == other
+        assert np.array_equal(other.z1, rg.z1) and np.array_equal(other.z2, rg.z2)
+        assert RecoveredGraph(rg.base, 3, rg.z1, rg.z2[::-1]) == rg
+
+    @pytest.mark.parametrize("z1, z2", [([(0, 6)], []), ([], [(3, 6)]), ([(-1, 3)], []), ([(0.5, 3)], [])])
+    def test_rejects_ids_outside_the_graph(self, z1, z2):
+        with pytest.raises(ValueError, match=r"not a pair of ids in \[0, N \+ M = 6\)"):
+            RecoveredGraph(Graph(3, []), 3, z1, z2)
+
+    @pytest.mark.parametrize("change", ["base", "m", "z1", "z2"])
+    def test_unequal_when_any_field_differs(self, change):
+        rg = self.canonical()
+        fields = {"base": rg.base, "m": rg.m, "z1": rg.z1, "z2": rg.z2}
+        fields[change] = {
+            "base": Graph(3, [(0, 2)]), "m": 4, "z1": rg.z1[1:], "z2": [(3, 5)],
+        }[change]
+        assert RecoveredGraph(**fields) != rg
+
+    @pytest.mark.parametrize("n_obs, m, seed", [(6, 2, 1), (5, 3, 9), (20, 6, 4), (0, 4, 2)])
+    def test_realize_missing_splits_scalar_sampler(self, n_obs, m, seed):
+        model = KroneckerModel(2, np.array([[0.95, 0.7], [0.7, 0.5]]), 5)
+        sigma = np.random.default_rng(seed).choice(32, size=n_obs + m, replace=False)
+        mapped = NodeMapping(sigma=sigma, observed_count=n_obs)
+        rg = realize_missing(path_graph(n_obs), model, mapped, m, seed=seed)
+        expect = sorted(scalar_missing_block(model, sigma, n_obs, np.random.default_rng(seed)))
+        assert expect  # the case draws some edges
+        assert rg.z1.tolist() == [[u, v] for u, v in expect if u < n_obs]
+        assert rg.z2.tolist() == [[u, v] for u, v in expect if u >= n_obs]

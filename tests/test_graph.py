@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from kromfac.graph import (
     EdgeListParseError,
     Graph,
+    NodeIdMap,
     induced_subgraph,
     load_edge_list,
     neighbour_arrays,
@@ -62,6 +63,10 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
 
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            Graph(3, [(0, 1), (0.5, 2)])
+
     def test_edge_count_is_half_degree_sum(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         assert 2 * g.edge_count == sum(g.degrees())
@@ -101,6 +106,14 @@ class TestRoundTrip:
             assert g.has_edge(int(id_map.external(u)), int(id_map.external(v)))
 
 
+def reference_induced_subgraph(g, keep):
+    """induced_subgraph by a per-edge dict remap (test oracle)."""
+    kept = sorted(keep)
+    remap = {old: new for new, old in enumerate(kept)}
+    edges = [(remap[u], remap[v]) for u, v in g.edges() if u in remap and v in remap]
+    return Graph(len(kept), edges), NodeIdMap(remap, kept)
+
+
 class TestInducedSubgraph:
     def test_triangle_restriction(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -123,6 +136,17 @@ class TestInducedSubgraph:
         g = Graph(2, [(0, 1)])
         with pytest.raises(ValueError):
             induced_subgraph(g, {0, 5})
+
+    @given(graphs(), st.data())
+    def test_matches_dict_remap(self, g, data):
+        keep = data.draw(st.sets(st.integers(0, g.n - 1)))
+        sub, id_map = induced_subgraph(g, keep)
+        expect, expect_map = reference_induced_subgraph(g, keep)
+        assert sub == expect
+        assert list(sub.edges()) == list(expect.edges())
+        assert id_map == expect_map
+        for a, b in zip(neighbour_arrays(sub), neighbour_arrays(expect), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @given(graphs(), st.data())
     def test_edge_count_and_degree_domination(self, g, data):
@@ -173,11 +197,11 @@ class TestFromArrays:
 
     def test_each_form_built_once_and_read_only(self):
         g = Graph(4, [(0, 1), (2, 1)])
-        assert g._arrays is None  # the tuple constructor builds no arrays
+        assert not any(a.flags.writeable for a in neighbour_arrays(g))  # read-only as built
         arrays = neighbour_arrays(g)
         assert neighbour_arrays(g) is arrays
         built = Graph.from_arrays(4, *arrays[2:])
-        assert built._adjacency is None  # nor the array constructor lists
+        assert all(a is b for a, b in zip(neighbour_arrays(g), arrays, strict=True))  # the same objects
         assert built.adjacency is built.adjacency
         for a in arrays + neighbour_arrays(built):
             with pytest.raises(ValueError):
@@ -206,3 +230,5 @@ class TestFromArrays:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Graph.from_arrays(-1, np.array([], dtype=int), np.array([], dtype=int))
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph(-1, [])
