@@ -163,15 +163,6 @@ def _gradient(s: np.ndarray, nbr_rows: np.ndarray, total_other: np.ndarray) -> n
     return _sum_in_order(nbr_rows.mT * (e / (1.0 - e) + 1.0)[..., None, :]) - total_other
 
 
-def row_gradient(f: np.ndarray, u: int, neighbors: Iterable[int], total: np.ndarray) -> np.ndarray:
-    """Gradient of the log-likelihood w.r.t. row F_u.
-
-    `total` is the current column-sum aggregate of F.
-    """
-    nbr_rows = f[np.fromiter(neighbors, dtype=np.intp)]
-    return _gradient(nbr_rows @ f[u], nbr_rows, total - f[u])
-
-
 def density_delta(n: int, edge_count: int) -> float:
     """default_delta of a graph with n >= 2 nodes and edge_count edges."""
     p_bg = 2.0 * edge_count / (n * (n - 1))
@@ -194,11 +185,6 @@ def _init_rows(n: int, edge_count: int, c: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     hi = math.sqrt(density_delta(n, edge_count)) / c if n >= 2 else 0.1 / c
     return rng.uniform(0.0, hi, size=(n, c))
-
-
-def init_affiliations(g: Graph, c: int, seed: int) -> np.ndarray:
-    """Random nonnegative initialization scaled to the detection threshold."""
-    return _init_rows(g.n, g.edge_count, c, seed)
 
 
 def commun_det(g: Graph, c: int, cfg: DetectConfig = DetectConfig()) -> DetectResult:

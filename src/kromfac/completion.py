@@ -34,7 +34,8 @@ def _edge_rows(pairs: np.ndarray | Iterable[tuple[int, int]], n: int) -> np.ndar
 @dataclass(frozen=True, eq=False)
 class RecoveredGraph:
     """The observed graph plus the realized missing block. `z1` and `z2`
-    take any iterable of pairs and are stored as `_edge_rows` arrays."""
+    take any iterable of pairs and are stored as `_edge_rows` arrays; a
+    pair outside its block raises ValueError."""
 
     base: Graph
     m: int
@@ -42,8 +43,14 @@ class RecoveredGraph:
     z2: np.ndarray  # rows (r1, r2) with N <= r1 < r2 < N+M
 
     def __post_init__(self):
-        object.__setattr__(self, "z1", _edge_rows(self.z1, self.base.n + self.m))
-        object.__setattr__(self, "z2", _edge_rows(self.z2, self.base.n + self.m))
+        n = self.base.n
+        z1, z2 = _edge_rows(self.z1, n + self.m), _edge_rows(self.z2, n + self.m)
+        if z1.size and not z1[:, 0].max() < n <= z1[:, 1].min():
+            raise ValueError(f"a Z1 edge must join an observed id < N = {n} to a recovered id >= N")
+        if z2.size and not (z2[:, 0].min() >= n and np.all(z2[:, 0] < z2[:, 1])):
+            raise ValueError(f"a Z2 edge must join two distinct recovered ids >= N = {n}")
+        object.__setattr__(self, "z1", z1)
+        object.__setattr__(self, "z2", z2)
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, RecoveredGraph) and self.m == other.m and self.base == other.base):

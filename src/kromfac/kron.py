@@ -13,12 +13,18 @@ n≈2000), counted in row blocks without any n x n array. The tally does
 not depend on theta, so an M-step counts it once and every likelihood and
 gradient evaluation of that step reuses it.
 
-The E-step state is held in arrays: the observed graph as CSR, the
-sampled missing block as an n x M bool matrix, and a digit table of the
-whole index space. An MH proposal evaluates the rows it needs in one
-stacked gather. The Gibbs resample and `realize_missing` share one
-sampler, `sample_missing_block`, which draws the missing pairs in
-row-major order, one block of rows at a time.
+The E-step state is held in arrays: the observed edges, the sampled
+missing block as an n x M bool matrix, and a digit table of the whole
+index space. Each EM iteration builds the sampled graph once, after the
+Gibbs resample; Metropolis-Hastings over sigma reads its neighbour lists
+and the M-step fits on it. An MH proposal's delta costs O(deg): up to
+n0**k = _MH_TABLE_LIMIT from full tables of log1p(-P) and
+log P - log1p(-P) built once per E-step, above it from the few entries
+it needs. Every proposal's position, target and uniform are drawn up
+front, so the random stream does not depend on any delta. The Gibbs
+resample and `realize_missing` share one sampler, `sample_missing_block`,
+which draws the missing pairs in row-major order, one block of rows at a
+time.
 """
 from __future__ import annotations
 
@@ -41,6 +47,14 @@ EXACT_PAIR_LIMIT = 4096
 # Node rows whose pair-type codes are computed together: the exact path
 # holds O(_ROW_BLOCK * n) numbers at a time, never an n x n array.
 _ROW_BLOCK = 256
+
+# Up to this many indices (n0**k), the MH deltas read two full
+# n0**k x n0**k float tables built once per E-step, 16 MB at the limit.
+# Above it, each proposal computes only the entries its delta needs.
+_MH_TABLE_LIMIT = 1024
+
+# An M-step trial is accepted unless it lowers the likelihood by more.
+_MONOTONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -369,13 +383,12 @@ def ascend_theta(
     model: KroneckerModel,
     steps: int,
     learning_rate: float,
-    monotone_tol: float = 1e-9,
 ) -> KroneckerModel:
     """Projected gradient ascent on the log-likelihood with backtracking.
 
     The gradient is projected onto symmetric matrices so theta stays
     symmetric throughout; each accepted step never decreases the
-    likelihood by more than `monotone_tol`. The graph and placement are
+    likelihood by more than `_MONOTONE_TOL`. The graph and placement are
     fixed, so their theta-independent summary is built once and passed to
     every likelihood and gradient evaluation.
     """
@@ -392,7 +405,7 @@ def ascend_theta(
             cand_ll = kron_log_likelihood(
                 a_full, mapping, replace(model, theta=cand), _summary=summary
             )
-            if cand_ll >= cur - monotone_tol:
+            if cand_ll >= cur - _MONOTONE_TOL:
                 theta, cur, accepted = cand, cand_ll, True
                 break
             step /= 2.0
@@ -407,18 +420,19 @@ class _SampledState:
 
     `digits` is the digit table of the whole index space: row t holds the
     k base-n0 digits of index t, least significant first (nk x k int64, at
-    most k * n0 * (N + M) entries, built once per fit). The E-step reads
-    the digits of any placement from it instead of recomputing them.
+    most k * n0 * (N + M) entries, built once per fit). MH above
+    _MH_TABLE_LIMIT reads the digits of any placement from it instead of
+    recomputing them.
 
-    The observed graph is kept as CSR (`indptr`, `indices`) and edge list
-    (`eu`, `ev`) from neighbour_arrays. The missing block is the n x M bool
-    matrix `missing`: missing[u, j] says whether position u and missing
-    position N + j are joined, so its bottom M x M block is symmetric with
-    a False diagonal. Each Gibbs resample rewrites it whole from
-    sample_missing_block, the sampler realize_missing also uses;
-    adjacency_row and as_graph read both parts. as_graph hands the M-step
-    a Graph built from the observed and the missing edge arrays, with no
-    Python tuples in between.
+    The observed graph is kept as its edge list (`eu`, `ev`) from
+    neighbour_arrays. The missing block is the n x M bool matrix
+    `missing`: missing[u, j] says whether position u and missing position
+    N + j are joined, so its bottom M x M block is symmetric with a False
+    diagonal. Each Gibbs resample rewrites it whole from
+    sample_missing_block, the sampler realize_missing also uses. as_graph
+    builds the sampled graph from the observed and the missing edge
+    arrays, with no Python tuples in between; MH and the M-step both read
+    it.
     """
 
     def __init__(self, g_obs, m: int, n0: int, k: int):
@@ -428,18 +442,8 @@ class _SampledState:
         self.nk = n0**k
         self.digits = index_digits(np.arange(self.nk), n0, k)
         self.sigma = np.arange(self.n, dtype=np.int64)
-        self.indptr, self.indices, self.eu, self.ev = neighbour_arrays(g_obs)
+        self.eu, self.ev = neighbour_arrays(g_obs)[2:]
         self.missing = np.zeros((self.n, m), dtype=bool)
-
-    def adjacency_row(self, u: int) -> np.ndarray:
-        n_obs = self.n_obs
-        row = np.zeros(self.n)
-        if u < n_obs:
-            row[self.indices[self.indptr[u]:self.indptr[u + 1]]] = 1.0
-        else:
-            row[:n_obs] = self.missing[:n_obs, u - n_obs]
-        row[n_obs:] = self.missing[u]
-        return row
 
     def as_graph(self) -> Graph:
         r, c = np.nonzero(self.missing)
@@ -489,76 +493,158 @@ def _resample_missing(state: _SampledState, model: KroneckerModel, rng: np.rando
     state.missing[vs[inner], us[inner] - n_obs] = True
 
 
-def _row_loglik(p: np.ndarray, a: np.ndarray, u: int) -> np.ndarray:
-    """Likelihood contribution of the pairs (u, v), v != u, for each row of
-    entries p (r x n), given u's adjacency row a.
+class _MhTables:
+    """MH deltas for n0**k <= _MH_TABLE_LIMIT, from full tables.
 
-    Column u is computed with the rest and its term dropped before the
-    sum, so each value sums the same terms in the same order as a row over
-    the other positions alone.
+    With P = theta^k, the tables are L1P = log1p(-P) and W = log P - L1P
+    over the whole index space, and L(i) = sum_v L1P[i, sigma_v] over all
+    positions v. sigma and the index holders are Python lists, and a delta
+    is a loop over Python scalars. Only an accepted move changes L.
     """
-    terms = a * np.log(p) + (1.0 - a) * np.log1p(-p)
-    return np.concatenate((terms[:, :u], terms[:, u + 1:]), axis=1).sum(axis=1)
+
+    def __init__(self, state: _SampledState, graph: Graph, theta: np.ndarray):
+        p = np.ones((1, 1))
+        while p.shape[0] < state.nk:
+            p = np.kron(p, theta)
+        self.w = np.log(p)
+        self.l1p = np.log1p(np.negative(p, out=p), out=p)
+        self.w -= self.l1p
+        occupied = np.zeros(state.nk)
+        occupied[state.sigma] = 1.0
+        self.ll = self.l1p @ occupied
+        holder = np.full(state.nk, -1)
+        holder[state.sigma] = np.arange(state.n)
+        self.holders = holder.tolist()
+        self.sigma = state.sigma.tolist()
+        self.nbrs = graph.adjacency
+
+    def holder(self, t: int) -> int:
+        return self.holders[t]
+
+    def _w_gain(self, x: int, skip: int, new: np.ndarray, old: np.ndarray) -> float:
+        """Sum over v in N(x), v != skip, of new[sigma_v] - old[sigma_v]."""
+        sigma, d = self.sigma, 0.0
+        for v in self.nbrs[x]:
+            if v != skip:
+                s = sigma[v]
+                d += new[s] - old[s]
+        return d
+
+    def move_delta(self, x: int, t: int) -> float:
+        sx, ll, l1p, w = self.sigma[x], self.ll, self.l1p, self.w
+        return float((ll[t] - ll[sx]) - (l1p[t, sx] - l1p[sx, sx]) + self._w_gain(x, -1, w[t], w[sx]))
+
+    def swap_delta(self, x: int, y: int) -> float:
+        sx, t, w = self.sigma[x], self.sigma[y], self.w
+        return float(self._w_gain(x, y, w[t], w[sx]) + self._w_gain(y, x, w[sx], w[t]))
+
+    def move(self, x: int, t: int) -> None:
+        sx = self.sigma[x]
+        self.ll += self.l1p[t] - self.l1p[sx]  # P is symmetric: row = column
+        self.sigma[x] = t
+        self.holders[sx], self.holders[t] = -1, x
+
+    def swap(self, x: int, y: int) -> None:
+        sx, t = self.sigma[x], self.sigma[y]
+        self.sigma[x], self.sigma[y] = t, sx
+        self.holders[t], self.holders[sx] = x, y
+
+
+class _MhRows:
+    """MH deltas above _MH_TABLE_LIMIT, with no n0**k-length array.
+
+    A move computes its two rows of P against every position through
+    _row_entries; a swap only the columns of its neighbours. sigma is the
+    state's array, updated in place, and the column codes of _row_entries
+    follow it.
+    """
+
+    def __init__(self, state: _SampledState, graph: Graph, theta: np.ndarray):
+        self.theta = theta
+        self.digits = state.digits
+        self.sigma = state.sigma
+        self.col_codes = _col_codes(state.digits[state.sigma], state.n0)
+        self.indptr, self.indices = neighbour_arrays(graph)[:2]
+
+    def holder(self, t: int) -> int:
+        at = np.flatnonzero(self.sigma == t)
+        return int(at[0]) if at.size else -1
+
+    def _neighbours(self, x: int) -> np.ndarray:
+        return self.indices[self.indptr[x]:self.indptr[x + 1]]
+
+    def move_delta(self, x: int, t: int) -> float:
+        sx = int(self.sigma[x])
+        rows = _row_entries(self.theta, self.digits[[sx, t]], self.col_codes)
+        l1 = np.log1p(-rows)
+        nb = self._neighbours(x)
+        w = np.log(rows[:, nb]) - l1[:, nb]
+        d = l1[1] - l1[0]  # column x holds sx itself, and drops out
+        return float(d.sum() - d[x] + (w[1] - w[0]).sum())
+
+    def swap_delta(self, x: int, y: int) -> float:
+        nx, ny = self._neighbours(x), self._neighbours(y)
+        nx, ny = nx[nx != y], ny[ny != x]
+        rows = self.digits[[self.sigma[x], self.sigma[y]]]
+        p = _row_entries(self.theta, rows, self.col_codes[:, np.concatenate([nx, ny])])
+        w = np.log(p) - np.log1p(-p)
+        d = w[1] - w[0]
+        return float(d[:nx.size].sum() - d[nx.size:].sum())
+
+    def move(self, x: int, t: int) -> None:
+        self.col_codes[:, x] += self.digits[t] - self.digits[self.sigma[x]]
+        self.sigma[x] = t
+
+    def swap(self, x: int, y: int) -> None:
+        self.sigma[[x, y]] = self.sigma[[y, x]]
+        self.col_codes[:, [x, y]] = self.col_codes[:, [y, x]]
 
 
 def _mcmc_sigma(
     state: _SampledState,
+    graph: Graph,
     model: KroneckerModel,
     proposals: int,
     rng: np.random.Generator,
 ) -> None:
-    """Metropolis-Hastings over the placement sigma.
+    """Metropolis-Hastings over the placement sigma, on the sampled graph.
 
     Proposals are uniform transpositions: a random position x is paired
     with a random target index t in the full theta^k space; if t is held
     by another position y the two swap, otherwise x moves to the unused
-    index. Each proposal computes the entries of the two placements sx and
-    t against the current sigma in one stacked call; the rows after a swap
-    differ from these only in the (x, y) pair, which is read from them.
+    index. The positions, targets and one uniform u per proposal are drawn
+    up front (rng.integers(n), rng.integers(n0**k), rng.random(), each of
+    size `proposals`), and a proposal is accepted iff u < exp(min(delta, 0)).
+
+    With P = theta^k, L1P = log1p(-P), W = log P - L1P and
+    L(i) = sum_v L1P[i, sigma_v] over all positions v, the log-likelihood
+    delta of moving x from sx to t is
+
+        L(t) - L1P[t, sx] - L(sx) + L1P[sx, sx] + sum_{v in N(x)} (W[t, sigma_v] - W[sx, sigma_v])
+
+    and that of swapping x with y is
+
+        sum_{v in N(x), v != y} (W[t, sigma_v] - W[sx, sigma_v])
+        + sum_{v in N(y), v != x} (W[sx, sigma_v] - W[t, sigma_v]):
+
+    the L terms and the (x, y) pair cancel because theta, and so P, is
+    symmetric. Up to n0**k = _MH_TABLE_LIMIT the deltas read full tables
+    (_MhTables), above it only the entries they need (_MhRows).
     """
-    n, nk = state.n, state.nk
-    digits, theta = state.digits, model.theta
-    col_codes = _col_codes(digits[state.sigma], state.n0)
-    holder = {int(s): i for i, s in enumerate(state.sigma)}
-    for _ in range(proposals):
-        x = int(rng.integers(n))
-        t = int(rng.integers(nk))
-        sx = int(state.sigma[x])
-        if t == sx:
+    xs = rng.integers(state.n, size=proposals).tolist()
+    ts = rng.integers(state.nk, size=proposals).tolist()
+    us = rng.random(proposals).tolist()
+    mh = (_MhTables if state.nk <= _MH_TABLE_LIMIT else _MhRows)(state, graph, model.theta)
+    for x, t, u in zip(xs, ts, us):
+        y = mh.holder(t)
+        if y == x:
             continue
-        y = holder.get(t)
-        rows = _row_entries(theta, digits[[sx, t]], col_codes)
-        ax = state.adjacency_row(x)
-        if y is None:
-            old, new = _row_loglik(rows, ax, x)
-            delta = new - old
-            if delta >= 0 or rng.random() < math.exp(delta):
-                state.sigma[x] = t
-                col_codes[:, x] += digits[t] - digits[sx]
-                del holder[sx]
-                holder[t] = x
-        else:
-            # Rows of x at sx and t, then y at t and sx. After the swap y
-            # sits at sx and x at t, so one entry of each new row changes.
-            q = rows[[0, 1, 1, 0]]
-            q[1, y] = rows[1, x]
-            q[3, x] = rows[0, y]
-            x_old, x_new = _row_loglik(q[:2], ax, x)
-            y_old, y_new = _row_loglik(q[2:], state.adjacency_row(y), y)
-            old = x_old + y_old
-            new = x_new + y_new
-            # The (x, y) pair is counted in both rows on each side; the
-            # double-count cancels in the difference only if corrected.
-            axy = float(ax[y])
-
-            def pair_term(p):
-                return axy * math.log(p) + (1.0 - axy) * math.log1p(-p)
-
-            delta = (new - pair_term(rows[1, x])) - (old - pair_term(rows[0, y]))
-            if delta >= 0 or rng.random() < math.exp(delta):
-                state.sigma[x], state.sigma[y] = t, sx
-                col_codes[:, [x, y]] = col_codes[:, [y, x]]
-                holder[t], holder[sx] = x, y
+        if y < 0:
+            if u < math.exp(min(mh.move_delta(x, t), 0.0)):
+                mh.move(x, t)
+        elif u < math.exp(min(mh.swap_delta(x, y), 0.0)):
+            mh.swap(x, y)
+    state.sigma[:] = mh.sigma
 
 
 def random_theta_init(n0: int, rng: np.random.Generator) -> np.ndarray:
@@ -589,7 +675,8 @@ def kronem_fit(
     k = smallest_power(n0, n)
     if theta_init is None:
         theta_init = random_theta_init(n0, rng)
-    # The MH pair term assumes a symmetric theta; a symmetric init is kept bit for bit.
+    # The MH swap delta assumes a symmetric theta (its L terms and the
+    # (x, y) pair cancel only then); a symmetric init is kept bit for bit.
     theta = _clamp(_symmetrize(np.asarray(theta_init, dtype=float)))
     model = KroneckerModel(n0=n0, theta=theta, k=k)
 
@@ -598,8 +685,8 @@ def kronem_fit(
     for _ in range(cfg.em_iters):
         if m_missing > 0:
             _resample_missing(state, model, rng)
-        _mcmc_sigma(state, model, proposals, rng)
         a_full = state.as_graph()
+        _mcmc_sigma(state, a_full, model, proposals, rng)
         mapping = NodeMapping(sigma=state.sigma.copy(), observed_count=g_obs.n)
         model = ascend_theta(a_full, mapping, model, cfg.grad_steps, cfg.learning_rate)
     mapping = NodeMapping(sigma=state.sigma.copy(), observed_count=g_obs.n)

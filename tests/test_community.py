@@ -13,10 +13,10 @@ from kromfac.community import (
     commun_det,
     commun_det_prefixes,
     default_delta,
+    _gradient,
+    _init_rows,
     hard_decision,
-    init_affiliations,
     loss,
-    row_gradient,
 )
 from kromfac.completion import RecoveredGraph, as_graph
 from kromfac.graph import Graph
@@ -40,6 +40,18 @@ def random_graph(n, p, seed):
     return Graph(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     )
+
+
+def row_gradient(f, u, neighbors, total):
+    """Gradient of the log-likelihood w.r.t. row F_u through the detector's
+    own _gradient; `total` is the current column-sum aggregate of F."""
+    nbr_rows = f[np.fromiter(neighbors, dtype=np.intp)]
+    return _gradient(nbr_rows @ f[u], nbr_rows, total - f[u])
+
+
+def init_affiliations(g, c, seed):
+    """The detector's random init of a whole graph's F (its _init_rows)."""
+    return _init_rows(g.n, g.edge_count, c, seed)
 
 
 def reference_row_gradient(f, u, neighbors, total):

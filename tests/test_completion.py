@@ -227,6 +227,25 @@ class TestBlockArrays:
         with pytest.raises(ValueError, match=r"not a pair of ids in \[0, N \+ M = 6\)"):
             RecoveredGraph(Graph(3, []), 3, z1, z2)
 
+    @pytest.mark.parametrize("z1, z2, block", [
+        ([(0, 2)], [], "Z1"),          # observed-observed
+        ([(3, 4)], [], "Z1"),          # recovered-recovered
+        ([], [(1, 3)], "Z2"),          # observed-recovered
+        ([], [(0, 1)], "Z2"),          # observed-observed
+        ([], [(4, 4)], "Z2"),          # self-loop
+    ])
+    def test_rejects_edges_outside_their_block(self, z1, z2, block):
+        with pytest.raises(ValueError, match=f"a {block} edge must join"):
+            RecoveredGraph(Graph(3, []), 2, z1, z2)
+
+    @pytest.mark.parametrize("section, row", [("#Z1", "0 2"), ("#Z2", "3 3")])
+    def test_read_rejects_rows_outside_their_block(self, section, row):
+        # N = 3, M = 1: a #Z1 row between observed nodes would add an
+        # observed edge, and a #Z2 row must join two recovered nodes.
+        text = f"#BASE\n0 1\n{section}\n{row}\n"
+        with pytest.raises(ValueError, match=f"a {section[1:]} edge must join"):
+            RecoveredGraph.read(io.StringIO(text), n_observed=3, m=1)
+
     @pytest.mark.parametrize("change", ["base", "m", "z1", "z2"])
     def test_unequal_when_any_field_differs(self, change):
         rg = self.canonical()

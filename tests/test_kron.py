@@ -18,9 +18,10 @@ from kromfac.kron import (
     _clamp,
     _col_codes,
     _mcmc_sigma,
+    _MhRows,
+    _MhTables,
     _resample_missing,
     _row_entries,
-    _row_loglik,
     _SampledState,
     _symmetrize,
     kronem_fit,
@@ -408,8 +409,10 @@ class TestKronemFit:
         assert err <= 0.15
 
 
-# kronem_fit on GOLDEN_GRAPH with GOLDEN_CFG, as the _pair_entries E-step
-# computed it: n0 -> (k, theta, sigma).
+# kronem_fit on GOLDEN_GRAPH with GOLDEN_CFG: n0 -> (k, theta, sigma).
+# Re-pinned when MH over sigma took its O(deg) deltas and one up-front
+# uniform per proposal: the old rule drew a uniform only for a negative
+# delta, so the stream moved from the first E-step on.
 GOLDEN_GRAPH = Graph(
     12,
     [(u, v) for u in range(5) for v in range(u + 1, 5)]
@@ -420,16 +423,16 @@ GOLDEN_CFG = EmConfig(em_iters=3, mcmc_samples=120, grad_steps=5, learning_rate=
 GOLDEN_FITS = {
     2: (
         4,
-        [[0.7252732221986592, 0.8074097302674988],
-         [0.8074097302674988, 0.6194387081580088]],
-        [12, 6, 7, 15, 8, 5, 0, 9, 1, 10, 11, 2, 14, 3, 13, 4],
+        [[0.6480061328668266, 0.8857097847249152],
+         [0.8857097847249152, 0.704851965480512]],
+        [8, 9, 7, 11, 14, 12, 15, 10, 13, 1, 6, 3, 5, 2, 0, 4],
     ),
     3: (
         3,
-        [[0.41970855239175336, 0.5429251243466013, 0.47543048390939024],
-         [0.5429251243466013, 0.5984146416351915, 0.6598425295161704],
-         [0.47543048390939024, 0.6598425295161704, 0.8680518353754415]],
-        [20, 19, 18, 4, 13, 16, 22, 17, 25, 15, 21, 2, 8, 10, 14, 11],
+        [[0.49760904378985005, 0.5654421924963033, 0.6101717337853116],
+         [0.5654421924963033, 0.4639536567502625, 0.6331493523576457],
+         [0.6101717337853116, 0.6331493523576457, 0.9320314849469975]],
+        [3, 8, 17, 19, 24, 22, 23, 26, 5, 15, 10, 4, 2, 7, 21, 11],
     ),
 }
 
@@ -471,39 +474,53 @@ def reference_resample_missing(sigma, n_obs, model, rng):
     return edges
 
 
+def reference_delta(sigma, edges, model, x, t):
+    """Log-likelihood change of moving position x to the free index t, or
+    of swapping x with the position y at t, from reference_row_loglik rows:
+    the rows of x (and y) before and after, with the (x, y) pair, counted
+    in both rows, taken out once on each side and kron_entry for it. Also
+    returns the sum of the rows' magnitudes, the scale of the delta's
+    rounding."""
+    sx = int(sigma[x])
+    held = np.flatnonzero(sigma == t)
+    if not held.size:
+        old = reference_row_loglik(sigma, edges, model, x, sx)
+        new = reference_row_loglik(sigma, edges, model, x, t)
+        return new - old, abs(old) + abs(new)
+    y = int(held[0])
+    after = sigma.copy()
+    after[x], after[y] = t, sx
+    rows = [
+        reference_row_loglik(sigma, edges, model, x, sx),
+        reference_row_loglik(sigma, edges, model, y, t),
+        reference_row_loglik(after, edges, model, x, t),
+        reference_row_loglik(after, edges, model, y, sx),
+    ]
+    axy = 1.0 if (min(x, y), max(x, y)) in edges else 0.0
+
+    def pair_term(p):
+        return axy * math.log(p) + (1.0 - axy) * math.log1p(-p)
+
+    old = rows[0] + rows[1] - pair_term(kron_entry(model, sx, t))
+    new = rows[2] + rows[3] - pair_term(kron_entry(model, t, sx))
+    return new - old, sum(abs(r) for r in rows)
+
+
 def reference_mcmc_sigma(sigma, edges, model, proposals, rng):
-    """Metropolis-Hastings over sigma in its scalar form: one row per
-    reference_row_loglik call and kron_entry for the swapped pair."""
+    """Metropolis-Hastings over sigma in its scalar form: the same up-front
+    draws and acceptance rule as _mcmc_sigma, with each delta from
+    reference_delta's full rows."""
     sigma = sigma.copy()
-    n, nk = sigma.size, model.num_indices
-    holder = {int(s): i for i, s in enumerate(sigma)}
-    for _ in range(proposals):
-        x = int(rng.integers(n))
-        t = int(rng.integers(nk))
+    xs = rng.integers(sigma.size, size=proposals).tolist()
+    ts = rng.integers(model.num_indices, size=proposals).tolist()
+    us = rng.random(proposals).tolist()
+    for x, t, u in zip(xs, ts, us):
         sx = int(sigma[x])
         if t == sx:
             continue
-        y = holder.get(t)
-        if y is None:
-            delta = reference_row_loglik(sigma, edges, model, x, t) - reference_row_loglik(sigma, edges, model, x, sx)
-            if delta >= 0 or rng.random() < math.exp(delta):
-                sigma[x] = t
-                del holder[sx]
-                holder[t] = x
-        else:
-            old = reference_row_loglik(sigma, edges, model, x, sx) + reference_row_loglik(sigma, edges, model, y, t)
-            sigma[x], sigma[y] = t, sx
-            new = reference_row_loglik(sigma, edges, model, x, t) + reference_row_loglik(sigma, edges, model, y, sx)
-            axy = 1.0 if (min(x, y), max(x, y)) in edges else 0.0
-
-            def pair_term(p):
-                return axy * math.log(p) + (1.0 - axy) * math.log1p(-p)
-
-            delta = (new - pair_term(kron_entry(model, t, sx))) - (old - pair_term(kron_entry(model, sx, t)))
-            if delta >= 0 or rng.random() < math.exp(delta):
-                holder[t], holder[sx] = x, y
-            else:
-                sigma[x], sigma[y] = sx, t
+        if u < math.exp(min(reference_delta(sigma, edges, model, x, t)[0], 0.0)):
+            sigma[sigma == t] = sx  # the swap partner, if any
+            sigma[x] = t
     return sigma
 
 
@@ -537,19 +554,88 @@ class TestDigitTableEstep:
 
     @pytest.mark.parametrize("n0, n_obs, m", CASES)
     def test_row_loglik_matches_pair_entries(self, n0, n_obs, m):
+        # Every move and every swap from one sampled state, adjacent pairs
+        # included: both MH delta forms against the difference of full
+        # reference rows, to 1e-12 of the rows' magnitude.
         state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs)
+        model = KroneckerModel(n0, _symmetrize(model.theta), model.k)  # the swap delta assumes it
         _resample_missing(state, model, np.random.default_rng(7))
         edges = set(g.edges()) | reference_resample_missing(state.sigma, n_obs, model, np.random.default_rng(7))
-        assert edges == set(state.as_graph().edges())
-        free = sorted(set(range(state.nk)) - set(state.sigma.tolist()))
+        graph = state.as_graph()
+        assert edges == set(graph.edges())
         col_codes = _col_codes(state.digits[state.sigma], n0)
-        for u in range(state.n):
-            placements = sorted({int(state.sigma[u]), state.nk - 1, 0, *free[:2]})
-            p = _row_entries(model.theta, state.digits[placements], col_codes)
-            for s, row in zip(placements, p):
-                assert row.tolist() == [kron_entry(model, s, int(v)) for v in state.sigma]
-            expect = [reference_row_loglik(state.sigma, edges, model, u, s) for s in placements]
-            assert _row_loglik(p, state.adjacency_row(u), u).tolist() == expect
+        for s in range(state.nk):
+            row = _row_entries(model.theta, state.digits[[s]], col_codes)[0]
+            assert row.tolist() == [kron_entry(model, s, int(v)) for v in state.sigma]
+        sigma = state.sigma.copy()
+        tables, rows = _MhTables(state, graph, model.theta), _MhRows(state, graph, model.theta)
+        adjacent_swaps = 0
+        for x in range(state.n):
+            for t in range(state.nk):
+                if t == sigma[x]:
+                    continue
+                expect, scale = reference_delta(sigma, edges, model, x, t)
+                y = tables.holder(t)
+                assert y == rows.holder(t) == (int(np.flatnonzero(sigma == t)[0]) if t in sigma else -1)
+                for mh in (tables, rows):
+                    got = mh.move_delta(x, t) if y < 0 else mh.swap_delta(x, y)
+                    assert abs(got - expect) <= 1e-12 * scale, (x, t, got, expect)
+                adjacent_swaps += y >= 0 and graph.has_edge(x, y)
+        assert adjacent_swaps
+        assert np.array_equal(state.sigma, sigma)  # deltas move nothing
+
+    @pytest.mark.parametrize("path", [_MhTables, _MhRows], ids=["tables", "rows"])
+    @pytest.mark.parametrize("n0, n_obs, m", CASES)
+    def test_deltas_follow_accepted_proposals(self, n0, n_obs, m, path):
+        # 200 proposals taken by the MH rule: after each accepted move or
+        # swap, the next delta still matches the reference rows.
+        state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 4)
+        model = KroneckerModel(n0, _symmetrize(model.theta), model.k)
+        _resample_missing(state, model, np.random.default_rng(8))
+        graph = state.as_graph()
+        edges = set(graph.edges())
+        mh = path(state, graph, model.theta)
+        rng = np.random.default_rng(10)
+        taken = {"move": 0, "swap": 0}
+        for _ in range(200):
+            x, t, u = int(rng.integers(state.n)), int(rng.integers(state.nk)), rng.random()
+            sigma = np.asarray(mh.sigma)
+            y = mh.holder(t)
+            if y == x:
+                continue
+            expect, scale = reference_delta(sigma, edges, model, x, t)
+            got = mh.move_delta(x, t) if y < 0 else mh.swap_delta(x, y)
+            assert abs(got - expect) <= 1e-12 * scale
+            if u < math.exp(min(got, 0.0)):
+                mh.move(x, t) if y < 0 else mh.swap(x, y)
+                taken["move" if y < 0 else "swap"] += 1
+        assert taken["swap"] and (taken["move"] or state.n == state.nk)  # n == nk: no free index
+
+    def test_isolated_swap_is_zero_and_stream_ignores_theta_bits(self):
+        # One uniform per proposal, drawn up front: a theta one ulp away
+        # leaves the stream after the sweep where it was, and swapping two
+        # positions without neighbours has a delta of exactly 0.
+        state, model, g = random_state(2, 9, 3, seed=12)
+        model = KroneckerModel(2, _symmetrize(model.theta), model.k)
+        graph = Graph(state.n, g.edges())  # the missing positions 9-11 are isolated
+        for path in (_MhTables, _MhRows):
+            assert path(state, graph, model.theta).swap_delta(9, 11) == 0.0
+        moved = KroneckerModel(2, np.nextafter(model.theta, 1.0), model.k)
+        assert not np.array_equal(moved.theta, model.theta)
+        after = []
+        for theta_model in (model, moved):
+            run = _SampledState(g, 3, 2, model.k)
+            run.sigma = state.sigma.copy()
+            rng = np.random.default_rng(21)
+            _mcmc_sigma(run, graph, theta_model, 300, rng)
+            after.append(rng.random())
+        assert after[0] == after[1]
+
+    @pytest.mark.parametrize("n0, n_obs, m", CASES)
+    def test_rows_path_matches_scalar_form(self, monkeypatch, n0, n_obs, m):
+        # _mcmc_sigma above the table limit, against the same oracle.
+        monkeypatch.setattr(kron_mod, "_MH_TABLE_LIMIT", 1)
+        self.test_mcmc_matches_scalar_form(n0, n_obs, m)
 
     @pytest.mark.parametrize("n0, n_obs, m", CASES)
     def test_resample_matches_pair_entries(self, n0, n_obs, m):
@@ -564,16 +650,16 @@ class TestDigitTableEstep:
 
     @pytest.mark.parametrize("n0, n_obs, m", CASES)
     def test_mcmc_matches_scalar_form(self, n0, n_obs, m):
-        # Stacked rows and the pair read from x's rows give the scalar
-        # moves and swaps, proposal for proposal.
+        # The O(deg) deltas give the moves and swaps of full reference
+        # rows, proposal for proposal, from the same draws.
         state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 2)
-        model = KroneckerModel(n0, _symmetrize(model.theta), model.k)  # the MH pair term assumes it
+        model = KroneckerModel(n0, _symmetrize(model.theta), model.k)  # the swap delta assumes it
         _resample_missing(state, model, np.random.default_rng(3))
         edges = set(g.edges()) | reference_resample_missing(state.sigma, n_obs, model, np.random.default_rng(3))
         rng_got, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
         expect = reference_mcmc_sigma(state.sigma, edges, model, 300, rng_ref)
         assert expect.tolist() != state.sigma.tolist()  # some proposals were taken
-        _mcmc_sigma(state, model, 300, rng_got)
+        _mcmc_sigma(state, state.as_graph(), model, 300, rng_got)
         assert state.sigma.tolist() == expect.tolist()
         assert rng_got.random() == rng_ref.random()
 
@@ -586,7 +672,7 @@ class TestDigitTableEstep:
         rng = np.random.default_rng(4)
         for _ in range(3):
             _resample_missing(state, model, rng)
-            _mcmc_sigma(state, model, 40, rng)
+            _mcmc_sigma(state, state.as_graph(), model, 40, rng)
             expect = Graph(state.n, [*g.edges(), *state_missing_edges(state)])
             got = state.as_graph()
             for a, b in zip(neighbour_arrays(got), neighbour_arrays(expect), strict=True):
@@ -602,6 +688,40 @@ class TestDigitTableEstep:
         assert model.k == k
         assert mapping.sigma.tolist() == sigma
         np.testing.assert_allclose(model.theta, theta, rtol=1e-12, atol=0)
+
+
+def mh_peak(n_obs, m):
+    """tracemalloc peak of one _mcmc_sigma call of 200 proposals on a sparse
+    random graph, with the state and the sampled graph built beforehand;
+    also returns n0**k."""
+    rng = np.random.default_rng(n_obs)
+    n = n_obs + m
+    k = smallest_power(2, n)
+    ends = rng.integers(n_obs, size=(4 * n_obs, 2))
+    state = _SampledState(Graph(n_obs, [(a, b) for a, b in ends.tolist() if a != b]), m, 2, k)
+    model = KroneckerModel(2, np.array([[0.9, 0.6], [0.6, 0.2]]), k)
+    _resample_missing(state, model, rng)
+    graph = state.as_graph()
+    tracemalloc.start()
+    try:
+        _mcmc_sigma(state, graph, model, 200, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, state.nk
+
+
+class TestMhMemory:
+    def test_tables_at_the_limit(self):
+        peak, nk = mh_peak(600, 4)
+        assert nk == kron_mod._MH_TABLE_LIMIT
+        table = 8 * nk * nk  # one float table: 8 MB
+        assert peak <= 2 * table + 2**21, f"peak {peak / 1e6:.1f} MB"
+
+    def test_no_table_above_the_limit(self):
+        peak, nk = mh_peak(2048, 4)  # sparse-cutover's size
+        assert nk == 4096
+        assert peak < 4 * 2**20, f"peak {peak / 1e6:.1f} MB, one table is {8 * nk * nk / 1e6:.0f} MB"
 
 
 def scalar_missing_block(model, sigma, n_obs, rng):

@@ -161,16 +161,18 @@ class TestSearch:
 # recovered node is ranked, in an order that is not the identity;
 # "approximate" runs the M-step above EXACT_PAIR_LIMIT. Each chosen cover
 # has every F entry at least 4% (relative) away from its threshold, so
-# last-bit BLAS differences cannot move a member.
+# last-bit BLAS differences cannot move a member. Re-pinned when MH over
+# sigma took one up-front uniform per proposal, which forked the EM
+# stream: the recovered graphs, and so the rankings, moved with it.
 GOLDEN_RUNS = {
     "h_equals_m": (
         27,
         KromfacConfig(m=4, c=2, em=FAST_EM, detect=DetectConfig(max_iters=100), seed=27, epsilon=0.5),
         None,
-        (27, 26, 24, 25),
+        (27, 24, 26, 25),
         [[12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23], [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11]],
         4,
-        [96.32458726830319, 103.0395965039994, 110.82426208642613, 114.35594045065267, 117.76328521632382],
+        [96.32458726830319, 101.72386689634226, 107.11871714010404, 115.96343798381528, 119.20444530632324],
     ),
     "approximate": (
         4,
@@ -179,10 +181,11 @@ GOLDEN_RUNS = {
             detect=DetectConfig(max_iters=100), seed=4,
         ),
         1,
-        (27, 25, 26, 29),
-        [[12, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25], [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]],
-        4,
-        [82.07228391354953, 98.29592153393403, 114.21023432774842, 130.47215866357993, 146.58275370087574],
+        (27, 24, 25, 29, 26),
+        [[12, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24], [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]],
+        5,
+        [82.07228391354953, 99.44477468986237, 114.0210907386635, 132.3676777482007, 149.0975669017043,
+         166.823575375257],
     ),
 }
 
