@@ -333,8 +333,8 @@ def _lockstep_pass(
 def hard_decision(f: np.ndarray, delta: float) -> Cover:
     """Threshold the affiliation matrix into a cover: u joins community c
     iff F[u, c] >= delta."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     f = np.asarray(f, dtype=float)
     communities = tuple(
         frozenset(np.flatnonzero(f[:, c] >= delta).tolist())

@@ -13,10 +13,10 @@ n≈2000), counted in row blocks without any n x n array. The tally does
 not depend on theta, so an M-step counts it once and every likelihood and
 gradient evaluation of that step reuses it.
 
-The E-step state is held in arrays: the observed edges, the sampled
-missing block as an n x M bool matrix, and a digit table of the whole
-index space. Each EM iteration builds the sampled graph once, after the
-Gibbs resample; Metropolis-Hastings over sigma reads its neighbour lists
+The E-step state is three arrays: the placement sigma, the observed
+edges, and the missing edges of the last Gibbs resample as the sampler
+returns them. Each EM iteration builds the sampled graph once from the
+two edge lists; Metropolis-Hastings over sigma reads its neighbour lists
 and the M-step fits on it. An MH proposal's delta costs O(deg): up to
 n0**k = _MH_TABLE_LIMIT from full tables of log1p(-P) and
 log P - log1p(-P) built once per E-step, above it from the few entries
@@ -71,7 +71,7 @@ class KroneckerModel:
         theta = np.asarray(self.theta, dtype=float)
         if theta.shape != (self.n0, self.n0):
             raise ValueError(f"theta must be {self.n0}x{self.n0}")
-        if np.any(theta <= 0.0) or np.any(theta >= 1.0):
+        if not np.all((theta > 0.0) & (theta < 1.0)):  # NaN fails both
             raise ValueError("theta entries must lie strictly inside (0,1)")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
@@ -86,11 +86,6 @@ class KroneckerModel:
             {"n0": self.n0, "k": self.k, "theta": self.theta.tolist()}
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "KroneckerModel":
-        d = json.loads(text)
-        return cls(n0=d["n0"], theta=np.array(d["theta"]), k=d["k"])
-
 
 @dataclass(frozen=True)
 class NodeMapping:
@@ -100,14 +95,11 @@ class NodeMapping:
     """
 
     sigma: np.ndarray
-    observed_count: int
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=np.int64)
         if len(set(sigma.tolist())) != sigma.size:
             raise ValueError("sigma must be injective")
-        if not (0 <= self.observed_count <= sigma.size):
-            raise ValueError("observed_count out of range")
         object.__setattr__(self, "sigma", sigma)
 
     def __len__(self) -> int:
@@ -130,8 +122,8 @@ class EmConfig:
             raise ValueError("iteration counts must be nonnegative (em_iters >= 1)")
         if self.mcmc_samples is not None and self.mcmc_samples < 0:
             raise ValueError("mcmc_samples must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 def smallest_power(n0: int, size: int) -> int:
@@ -414,46 +406,6 @@ def ascend_theta(
     return replace(model, theta=_symmetrize(theta))
 
 
-class _SampledState:
-    """Mutable EM state: the placement sigma and the sampled missing block,
-    all in arrays.
-
-    `digits` is the digit table of the whole index space: row t holds the
-    k base-n0 digits of index t, least significant first (nk x k int64, at
-    most k * n0 * (N + M) entries, built once per fit). MH above
-    _MH_TABLE_LIMIT reads the digits of any placement from it instead of
-    recomputing them.
-
-    The observed graph is kept as its edge list (`eu`, `ev`) from
-    neighbour_arrays. The missing block is the n x M bool matrix
-    `missing`: missing[u, j] says whether position u and missing position
-    N + j are joined, so its bottom M x M block is symmetric with a False
-    diagonal. Each Gibbs resample rewrites it whole from
-    sample_missing_block, the sampler realize_missing also uses. as_graph
-    builds the sampled graph from the observed and the missing edge
-    arrays, with no Python tuples in between; MH and the M-step both read
-    it.
-    """
-
-    def __init__(self, g_obs, m: int, n0: int, k: int):
-        self.n_obs = g_obs.n
-        self.n = g_obs.n + m
-        self.n0 = n0
-        self.nk = n0**k
-        self.digits = index_digits(np.arange(self.nk), n0, k)
-        self.sigma = np.arange(self.n, dtype=np.int64)
-        self.eu, self.ev = neighbour_arrays(g_obs)[2:]
-        self.missing = np.zeros((self.n, m), dtype=bool)
-
-    def as_graph(self) -> Graph:
-        r, c = np.nonzero(self.missing)
-        c += self.n_obs
-        upper = r < c
-        eu = np.concatenate([self.eu, r[upper]])
-        ev = np.concatenate([self.ev, c[upper]])
-        return Graph.from_arrays(self.n, eu, ev)
-
-
 def sample_missing_block(
     model: KroneckerModel, sigma: np.ndarray, n_obs: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -483,43 +435,28 @@ def sample_missing_block(
     return np.concatenate(us), np.concatenate(vs)
 
 
-def _resample_missing(state: _SampledState, model: KroneckerModel, rng: np.random.Generator) -> None:
-    """Gibbs resample of the missing-block edge states given theta and sigma."""
-    n_obs = state.n_obs
-    us, vs = sample_missing_block(model, state.sigma, n_obs, rng)
-    state.missing[:] = False
-    state.missing[us, vs - n_obs] = True
-    inner = us >= n_obs
-    state.missing[vs[inner], us[inner] - n_obs] = True
-
-
 class _MhTables:
     """MH deltas for n0**k <= _MH_TABLE_LIMIT, from full tables.
 
     With P = theta^k, the tables are L1P = log1p(-P) and W = log P - L1P
     over the whole index space, and L(i) = sum_v L1P[i, sigma_v] over all
-    positions v. sigma and the index holders are Python lists, and a delta
-    is a loop over Python scalars. Only an accepted move changes L.
+    positions v. `sigma` is _mcmc_sigma's list, read here and changed only
+    there, and a delta is a loop over Python scalars. Only an accepted move
+    changes L.
     """
 
-    def __init__(self, state: _SampledState, graph: Graph, theta: np.ndarray):
+    def __init__(self, sigma: list[int], graph: Graph, model: KroneckerModel):
         p = np.ones((1, 1))
-        while p.shape[0] < state.nk:
-            p = np.kron(p, theta)
+        while p.shape[0] < model.num_indices:
+            p = np.kron(p, model.theta)
         self.w = np.log(p)
         self.l1p = np.log1p(np.negative(p, out=p), out=p)
         self.w -= self.l1p
-        occupied = np.zeros(state.nk)
-        occupied[state.sigma] = 1.0
+        occupied = np.zeros(model.num_indices)
+        occupied[sigma] = 1.0
         self.ll = self.l1p @ occupied
-        holder = np.full(state.nk, -1)
-        holder[state.sigma] = np.arange(state.n)
-        self.holders = holder.tolist()
-        self.sigma = state.sigma.tolist()
+        self.sigma = sigma
         self.nbrs = graph.adjacency
-
-    def holder(self, t: int) -> int:
-        return self.holders[t]
 
     def _w_gain(self, x: int, skip: int, new: np.ndarray, old: np.ndarray) -> float:
         """Sum over v in N(x), v != skip, of new[sigma_v] - old[sigma_v]."""
@@ -538,43 +475,33 @@ class _MhTables:
         sx, t, w = self.sigma[x], self.sigma[y], self.w
         return float(self._w_gain(x, y, w[t], w[sx]) + self._w_gain(y, x, w[sx], w[t]))
 
-    def move(self, x: int, t: int) -> None:
-        sx = self.sigma[x]
-        self.ll += self.l1p[t] - self.l1p[sx]  # P is symmetric: row = column
-        self.sigma[x] = t
-        self.holders[sx], self.holders[t] = -1, x
-
-    def swap(self, x: int, y: int) -> None:
-        sx, t = self.sigma[x], self.sigma[y]
-        self.sigma[x], self.sigma[y] = t, sx
-        self.holders[t], self.holders[sx] = x, y
+    def accept(self, x: int, t: int, y: int) -> None:
+        """Called before x takes index t from its holder y (-1: none)."""
+        if y < 0:  # a swap keeps the occupied indices, and so L
+            self.ll += self.l1p[t] - self.l1p[self.sigma[x]]  # P is symmetric: row = column
 
 
 class _MhRows:
-    """MH deltas above _MH_TABLE_LIMIT, with no n0**k-length array.
+    """MH deltas above _MH_TABLE_LIMIT, with no n0**k x n0**k table.
 
     A move computes its two rows of P against every position through
-    _row_entries; a swap only the columns of its neighbours. sigma is the
-    state's array, updated in place, and the column codes of _row_entries
-    follow it.
+    _row_entries; a swap only the columns of its neighbours. `digits` is
+    the digit table of the whole index space (n0**k x k), and the column
+    codes of _row_entries follow _mcmc_sigma's list `sigma`.
     """
 
-    def __init__(self, state: _SampledState, graph: Graph, theta: np.ndarray):
-        self.theta = theta
-        self.digits = state.digits
-        self.sigma = state.sigma
-        self.col_codes = _col_codes(state.digits[state.sigma], state.n0)
+    def __init__(self, sigma: list[int], graph: Graph, model: KroneckerModel):
+        self.theta = model.theta
+        self.digits = index_digits(np.arange(model.num_indices), model.n0, model.k)
+        self.sigma = sigma
+        self.col_codes = _col_codes(self.digits[sigma], model.n0)
         self.indptr, self.indices = neighbour_arrays(graph)[:2]
-
-    def holder(self, t: int) -> int:
-        at = np.flatnonzero(self.sigma == t)
-        return int(at[0]) if at.size else -1
 
     def _neighbours(self, x: int) -> np.ndarray:
         return self.indices[self.indptr[x]:self.indptr[x + 1]]
 
     def move_delta(self, x: int, t: int) -> float:
-        sx = int(self.sigma[x])
+        sx = self.sigma[x]
         rows = _row_entries(self.theta, self.digits[[sx, t]], self.col_codes)
         l1 = np.log1p(-rows)
         nb = self._neighbours(x)
@@ -591,23 +518,31 @@ class _MhRows:
         d = w[1] - w[0]
         return float(d[:nx.size].sum() - d[nx.size:].sum())
 
-    def move(self, x: int, t: int) -> None:
-        self.col_codes[:, x] += self.digits[t] - self.digits[self.sigma[x]]
-        self.sigma[x] = t
+    def accept(self, x: int, t: int, y: int) -> None:
+        """Called before x takes index t from its holder y (-1: none)."""
+        if y < 0:
+            self.col_codes[:, x] += self.digits[t] - self.digits[self.sigma[x]]
+        else:
+            self.col_codes[:, [x, y]] = self.col_codes[:, [y, x]]
 
-    def swap(self, x: int, y: int) -> None:
-        self.sigma[[x, y]] = self.sigma[[y, x]]
-        self.col_codes[:, [x, y]] = self.col_codes[:, [y, x]]
+
+def _place(sigma: list[int], holders: list[int], x: int, t: int) -> None:
+    """Put position x at index t; t's holder, if any, takes x's index."""
+    sx, y = sigma[x], holders[t]
+    sigma[x], holders[t], holders[sx] = t, x, y
+    if y >= 0:
+        sigma[y] = sx
 
 
 def _mcmc_sigma(
-    state: _SampledState,
+    sigma: np.ndarray,
     graph: Graph,
     model: KroneckerModel,
     proposals: int,
     rng: np.random.Generator,
 ) -> None:
-    """Metropolis-Hastings over the placement sigma, on the sampled graph.
+    """Metropolis-Hastings over the placement sigma, on the sampled graph;
+    updates sigma in place.
 
     Proposals are uniform transpositions: a random position x is paired
     with a random target index t in the full theta^k space; if t is held
@@ -629,22 +564,29 @@ def _mcmc_sigma(
 
     the L terms and the (x, y) pair cancel because theta, and so P, is
     symmetric. Up to n0**k = _MH_TABLE_LIMIT the deltas read full tables
-    (_MhTables), above it only the entries they need (_MhRows).
+    (_MhTables), above it only the entries they need (_MhRows). Either
+    path reads the one list of sigma kept here, with `holders` mapping each
+    index to its position (-1: free), and follows an accepted proposal
+    through its `accept` hook.
     """
-    xs = rng.integers(state.n, size=proposals).tolist()
-    ts = rng.integers(state.nk, size=proposals).tolist()
+    n, nk = sigma.size, model.num_indices
+    xs = rng.integers(n, size=proposals).tolist()
+    ts = rng.integers(nk, size=proposals).tolist()
     us = rng.random(proposals).tolist()
-    mh = (_MhTables if state.nk <= _MH_TABLE_LIMIT else _MhRows)(state, graph, model.theta)
+    placed = sigma.tolist()
+    holders = [-1] * nk
+    for x, s in enumerate(placed):
+        holders[s] = x
+    mh = (_MhTables if nk <= _MH_TABLE_LIMIT else _MhRows)(placed, graph, model)
     for x, t, u in zip(xs, ts, us):
-        y = mh.holder(t)
+        y = holders[t]
         if y == x:
             continue
-        if y < 0:
-            if u < math.exp(min(mh.move_delta(x, t), 0.0)):
-                mh.move(x, t)
-        elif u < math.exp(min(mh.swap_delta(x, y), 0.0)):
-            mh.swap(x, y)
-    state.sigma[:] = mh.sigma
+        delta = mh.move_delta(x, t) if y < 0 else mh.swap_delta(x, y)
+        if u < math.exp(min(delta, 0.0)):
+            mh.accept(x, t, y)
+            _place(placed, holders, x, t)
+    sigma[:] = placed
 
 
 def random_theta_init(n0: int, rng: np.random.Generator) -> np.ndarray:
@@ -661,10 +603,11 @@ def kronem_fit(
 ) -> tuple[KroneckerModel, NodeMapping]:
     """Fit theta and the node placement by EM on the observed graph.
 
-    E-step: Gibbs resample of the missing adjacency blocks plus MH over
-    sigma (hard EM: the last sample is retained). M-step: projected
-    gradient ascent on the sampled-graph log-likelihood. Deterministic
-    per cfg.seed.
+    E-step: Gibbs resample of the missing edges with sample_missing_block,
+    then MH over sigma (_mcmc_sigma) on the graph of the observed and the
+    resampled edges (hard EM: the last sample is retained). M-step:
+    projected gradient ascent (ascend_theta) on that graph's
+    log-likelihood. Deterministic per cfg.seed.
     """
     if m_missing < 0:
         raise ValueError("m_missing must be nonnegative")
@@ -680,14 +623,13 @@ def kronem_fit(
     theta = _clamp(_symmetrize(np.asarray(theta_init, dtype=float)))
     model = KroneckerModel(n0=n0, theta=theta, k=k)
 
-    state = _SampledState(g_obs, m_missing, n0, k)
+    eu, ev = neighbour_arrays(g_obs)[2:]
+    sigma = np.arange(n, dtype=np.int64)
     proposals = cfg.mcmc_samples if cfg.mcmc_samples is not None else 10 * n
     for _ in range(cfg.em_iters):
-        if m_missing > 0:
-            _resample_missing(state, model, rng)
-        a_full = state.as_graph()
-        _mcmc_sigma(state, a_full, model, proposals, rng)
-        mapping = NodeMapping(sigma=state.sigma.copy(), observed_count=g_obs.n)
+        mu, mv = sample_missing_block(model, sigma, g_obs.n, rng)
+        a_full = Graph.from_arrays(n, np.concatenate([eu, mu]), np.concatenate([ev, mv]))
+        _mcmc_sigma(sigma, a_full, model, proposals, rng)
+        mapping = NodeMapping(sigma=sigma.copy())
         model = ascend_theta(a_full, mapping, model, cfg.grad_steps, cfg.learning_rate)
-    mapping = NodeMapping(sigma=state.sigma.copy(), observed_count=g_obs.n)
     return model, mapping

@@ -58,8 +58,14 @@ class KromfacConfig:
     def __post_init__(self):
         if self.m < 0 or self.c < 1:
             raise ValueError("need m >= 0 and c >= 1")
-        if self.lambda_coef <= 0:
-            raise ValueError("lambda_coef must be positive")
+        if not 0 < self.lambda_coef < math.inf:
+            raise ValueError(f"lambda_coef must be positive and finite, got {self.lambda_coef}")
+        if self.lambda_abs is not None and not 0 < self.lambda_abs < math.inf:
+            raise ValueError(f"lambda_abs must be positive and finite, got {self.lambda_abs}")
+        for name in ("epsilon", "delta"):
+            value = getattr(self, name)
+            if value != AUTO and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite or '{AUTO}', got {value}")
 
     def resolve_lambda(self, n_observed: int) -> float:
         if self.lambda_abs is not None:
@@ -81,7 +87,6 @@ class SearchTrace:
     h: int
     entries: tuple[TraceEntry, ...]
     i_hat: int
-    degenerate: bool = False  # true when H=0 forced the i=0 fallback
 
     def to_json(self) -> str:
         return json.dumps(
@@ -149,7 +154,6 @@ def kromfac(
         h=ranking.h,
         entries=tuple(entries),
         i_hat=i_hat,
-        degenerate=ranking.h == 0,
     )
     return cover, trace
 
@@ -200,7 +204,7 @@ def _recover_and_rank(
     eps = default_epsilon(rg) if cfg.epsilon == AUTO else cfg.epsilon
     if eps <= 0:
         # Edgeless recovered graph: no node can qualify.
-        ranking = Ranking(h=0, order=(), centrality={u: 0 for u in rg.recovered_ids}, epsilon=eps)
+        ranking = Ranking(h=0, order=(), epsilon=eps)
     else:
         ranking = select_influential(rg, eps)
     return rg, ranking

@@ -11,7 +11,6 @@ from .graph import Graph
 class Ranking:
     h: int
     order: tuple[int, ...]  # recovered-node ids, descending centrality
-    centrality: dict[int, int]
     epsilon: float
 
 
@@ -35,7 +34,7 @@ def select_influential(rg: RecoveredGraph, epsilon: float) -> Ranking:
         (u for u, c in cen.items() if c >= epsilon),
         key=lambda u: (-cen[u], u),
     )
-    return Ranking(h=len(kept), order=tuple(kept), centrality=cen, epsilon=epsilon)
+    return Ranking(h=len(kept), order=tuple(kept), epsilon=epsilon)
 
 
 def default_epsilon(rg: RecoveredGraph) -> float:

@@ -115,7 +115,7 @@ def test_gradient_checks():
     for trial in range(6):
         n = 14
         model = KroneckerModel(2, rng.uniform(0.2, 0.8, (2, 2)), 4)
-        mapping = NodeMapping(rng.choice(16, size=n, replace=False), n)
+        mapping = NodeMapping(rng.choice(16, size=n, replace=False))
         g = random_graph(n, 0.3, 100 + trial)
         grad = kron_ll_gradient(g, mapping, model)
         for i in range(2):

@@ -98,6 +98,30 @@ class TestUsageErrors:
 
 
 class TestRuntimeErrors:
+    @pytest.mark.parametrize("command, flag, value, name", [
+        ("complete", "--learning-rate", "nan", "learning_rate"),
+        ("detect", "--learning-rate", "inf", "learning_rate"),
+        ("detect", "--delta", "nan", "delta"),
+        ("detect", "--lambda", "nan", "lambda_abs"),
+        ("detect", "--lambda-coef", "nan", "lambda_coef"),
+        ("detect", "--epsilon", "nan", "epsilon"),
+        ("detect", "--epsilon", "-1", "epsilon"),
+        ("baseline1", "--delta", "nan", "delta"),
+    ])
+    def test_rejects_non_finite_setting(self, tmp_path, capsys, monkeypatch, command, flag, value, name):
+        # One error line and no artefact: accepted, each of these would
+        # exit 0 with theta frozen, empty communities or i_hat forced to 0.
+        monkeypatch.setattr(pipeline, "kronem_fit", no_fit)
+        edges = two_cliques_file(tmp_path)
+        sizes = {"complete": ["--missing", "2"], "detect": ["--communities", "2", "--missing", "2"],
+                 "baseline1": ["--communities", "2", *FAST_DETECT]}[command]
+        args = [command, "--edges", str(edges), "--out", str(tmp_path / "o"), "--seed", "0",
+                *sizes, flag, value]
+        assert run_command(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name} must be positive and finite")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_file(self, tmp_path):
         args = [
             "baseline1", "--edges", str(tmp_path / "nope.txt"),

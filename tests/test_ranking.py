@@ -47,7 +47,7 @@ class TestSelectInfluential:
         r = select_influential(rg, epsilon=2)
         assert r.h == 1
         assert r.order == (6,)
-        assert r.centrality == {6: 2, 7: 1}
+        assert rg.degrees()[6:].tolist() == [2, 1]
 
     def test_threshold_excludes_all(self):
         rg = make_rg(4, {(0, 4)}, set(), 2)
@@ -58,7 +58,7 @@ class TestSelectInfluential:
         rg = make_rg(6, {(0, 6), (1, 6), (2, 6), (3, 6), (0, 7), (1, 7), (2, 7)}, set(), 2)
         r = select_influential(rg, epsilon=3)
         assert r.order == (6, 7)
-        assert [r.centrality[u] for u in r.order] == [4, 3]
+        assert [rg.degrees()[u] for u in r.order] == [4, 3]
 
     def test_tie_break_ascending_id(self):
         rg = make_rg(4, {(0, 4), (1, 4), (0, 5), (1, 5)}, set(), 2)
@@ -99,7 +99,7 @@ def reference_ranking(rg, epsilon):
     full = full_graph(rg)
     cen = {u: degree_centrality(full, u) for u in rg.recovered_ids}
     kept = sorted((u for u, c in cen.items() if c >= epsilon), key=lambda u: (-cen[u], u))
-    return Ranking(h=len(kept), order=tuple(kept), centrality=cen, epsilon=epsilon)
+    return Ranking(h=len(kept), order=tuple(kept), epsilon=epsilon)
 
 
 @st.composite
@@ -123,6 +123,8 @@ class TestDegreeOracle:
     @given(recovered_graphs(), st.sampled_from([0.5, 1, 2, 3.5, 6]))
     def test_select_influential_matches_full_graph(self, rg, epsilon):
         assert select_influential(rg, epsilon) == reference_ranking(rg, epsilon)
+        full = full_graph(rg)
+        assert rg.degrees()[rg.n_observed:].tolist() == [degree_centrality(full, u) for u in rg.recovered_ids]
 
     @given(recovered_graphs())
     def test_default_epsilon_matches_full_graph(self, rg):
