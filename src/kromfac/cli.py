@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import secrets
 import sys
 from pathlib import Path
@@ -26,13 +27,13 @@ def _threshold(value: str) -> float | str:
 
 
 def _positive(value: str) -> float:
-    """argparse type: a float > 0 (so not 0, negative or nan)."""
+    """argparse type: a float with 0 < x < inf (so not 0, negative, nan or inf)."""
     try:
         x = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
-    if not x > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return x
 
 
@@ -161,8 +162,8 @@ def _em_config(args) -> EmConfig:
     )
 
 
-def _detect_config(args, seed: int = 0) -> DetectConfig:
-    return DetectConfig(eta_detect=args.eta_detect, max_iters=args.max_iters, seed=seed)
+def _detect_config(args) -> DetectConfig:
+    return DetectConfig(eta_detect=args.eta_detect, max_iters=args.max_iters)
 
 
 def _kromfac_config(args, m: int, seed: int) -> KromfacConfig:
@@ -213,7 +214,7 @@ def _cmd_detect(args) -> int:
 def _cmd_baseline1(args) -> int:
     seed = _resolve_seed(args)
     g, id_map = _load_graph(args.edges)
-    cover = baseline1(g, args.communities, args.delta, _detect_config(args, detect_seed(seed, 0)))
+    cover = baseline1(g, args.communities, args.delta, _detect_config(args), detect_seed(seed, 0))
     _write(Path(args.out), "cover.txt", _cover_text(cover, id_map))
     print(f"baseline1: communities={len(cover.communities)}")
     return 0

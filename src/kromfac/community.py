@@ -31,14 +31,13 @@ class DetectConfig:
     eta_detect: float | None = None  # None -> 1e-4 * (1 + |loss|) per pass
     max_iters: int = 200
     step_init: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
-        # `not x > 0` also rejects NaN, which never converges as eta_detect
-        # and freezes every row as step_init; an infinite step_init
-        # overflows every trial and freezes the rows too.
-        if self.eta_detect is not None and not self.eta_detect > 0:
-            raise ValueError(f"eta_detect must be positive, got {self.eta_detect}")
+        # The range tests also reject NaN (never converges as eta_detect,
+        # freezes every row as step_init) and inf (stops after one pass as
+        # eta_detect, overflows every trial and freezes the rows as step_init).
+        if self.eta_detect is not None and not 0 < self.eta_detect < math.inf:
+            raise ValueError(f"eta_detect must be positive and finite, got {self.eta_detect}")
         if not 0 < self.step_init < math.inf:
             raise ValueError(f"step_init must be positive and finite, got {self.step_init}")
         if self.max_iters < 1:
@@ -187,7 +186,9 @@ def _init_rows(n: int, edge_count: int, c: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, hi, size=(n, c))
 
 
-def commun_det(g: Graph, c: int, cfg: DetectConfig = DetectConfig()) -> DetectResult:
+def commun_det(
+    g: Graph, c: int, cfg: DetectConfig = DetectConfig(), seed: int = 0
+) -> DetectResult:
     """Block coordinate gradient ascent on the affiliation likelihood.
 
     Rows update in ascending node order. Each row step is a projected
@@ -199,17 +200,16 @@ def commun_det(g: Graph, c: int, cfg: DetectConfig = DetectConfig()) -> DetectRe
     Stops when the loss improvement over a full pass falls below
     eta_detect.
 
-    This is the one-candidate call of `commun_det_prefixes`.
+    This is the one-candidate call of `commun_det_prefixes`, seeded by `seed`.
     """
-    return commun_det_prefixes(g, [g.n], c, cfg, [cfg.seed])[0]
+    return commun_det_prefixes(g, [g.n], c, cfg, [seed])[0]
 
 
 def commun_det_prefixes(
     g: Graph, sizes: Sequence[int], c: int, cfg: DetectConfig, seeds: Sequence[int]
 ) -> list[DetectResult]:
     """`commun_det` on the induced subgraphs of g on its first sizes[b]
-    nodes, candidate b seeded by seeds[b] (cfg.seed is not used), all
-    advanced in one shared row loop.
+    nodes, candidate b seeded by seeds[b], all in one shared row loop.
 
     `sizes` is ascending. Each candidate keeps its own init (drawn at its
     own size and edge count), pass count, convergence test and result, as

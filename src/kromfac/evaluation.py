@@ -235,8 +235,7 @@ def run_experiment(
     timing["kromfac"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    det1 = replace(cfg.detect, seed=detect_seed(cfg.seed, 0))
-    cover_b1 = baseline1(g_obs, cfg.c, cfg.delta, det1)
+    cover_b1 = baseline1(g_obs, cfg.c, cfg.delta, cfg.detect, detect_seed(cfg.seed, 0))
     timing["baseline1"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -115,7 +115,6 @@ class EmConfig:
     mcmc_samples: int | None = None  # None -> 10 * (N + M)
     grad_steps: int = 50
     learning_rate: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.em_iters < 1 or self.grad_steps < 0:
@@ -600,6 +599,7 @@ def kronem_fit(
     n0: int = 2,
     theta_init: np.ndarray | None = None,
     cfg: EmConfig = EmConfig(),
+    seed: int = 0,
 ) -> tuple[KroneckerModel, NodeMapping]:
     """Fit theta and the node placement by EM on the observed graph.
 
@@ -607,14 +607,14 @@ def kronem_fit(
     then MH over sigma (_mcmc_sigma) on the graph of the observed and the
     resampled edges (hard EM: the last sample is retained). M-step:
     projected gradient ascent (ascend_theta) on that graph's
-    log-likelihood. Deterministic per cfg.seed.
+    log-likelihood. Deterministic per seed.
     """
     if m_missing < 0:
         raise ValueError("m_missing must be nonnegative")
     n = g_obs.n + m_missing
     if n < 1:
         raise ValueError("empty model: need at least one node")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     k = smallest_power(n0, n)
     if theta_init is None:
         theta_init = random_theta_init(n0, rng)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,8 +109,8 @@ class SearchTrace:
 
 def regularized_loss(d: float, i: int, lam: float) -> float:
     """Detection loss minus the node-count reward: d - lam * log(i + 1)."""
-    if i < 0 or lam <= 0:
-        raise ValueError("need i >= 0 and lam > 0")
+    if i < 0 or not 0 < lam < math.inf:
+        raise ValueError(f"need i >= 0 and 0 < lam < inf, got i={i}, lam={lam}")
     return d - lam * math.log(i + 1)
 
 
@@ -175,13 +175,11 @@ def complete(
     g_obs: Graph, m: int, n0: int, em: EmConfig, seed: int
 ) -> tuple[KroneckerModel, NodeMapping, RecoveredGraph]:
     """Fit the Kronecker model to g_obs with m missing nodes and realize
-    the missing part; every random draw comes from a sub-seed of `seed`
-    (em.seed is replaced)."""
+    the missing part; every random draw comes from a sub-seed of `seed`."""
     if g_obs.n == 0:
         raise ValueError("cannot complete an empty observed graph (0 nodes)")
     theta_init = random_theta_init(n0, np.random.default_rng(subseed(seed, _SEED_THETA_INIT)))
-    em = replace(em, seed=subseed(seed, _SEED_EM))
-    model, mapping = kronem_fit(g_obs, m, n0, theta_init, em)
+    model, mapping = kronem_fit(g_obs, m, n0, theta_init, em, subseed(seed, _SEED_EM))
     rg = realize_missing(g_obs, model, mapping, m, subseed(seed, _SEED_REALIZE))
     return model, mapping, rg
 
@@ -204,7 +202,7 @@ def _recover_and_rank(
     eps = default_epsilon(rg) if cfg.epsilon == AUTO else cfg.epsilon
     if eps <= 0:
         # Edgeless recovered graph: no node can qualify.
-        ranking = Ranking(h=0, order=(), epsilon=eps)
+        ranking = Ranking(h=0, order=())
     else:
         ranking = select_influential(rg, eps)
     return rg, ranking
@@ -215,9 +213,10 @@ def baseline1(
     c: int,
     delta: float | str = AUTO,
     detect: DetectConfig = DetectConfig(),
+    seed: int = 0,
 ) -> Cover:
-    """Detection on the observed graph only: no completion, no search."""
-    res = commun_det(g_obs, c, detect)
+    """Detection on the observed graph only, seeded by `seed`: no completion or search."""
+    res = commun_det(g_obs, c, detect, seed)
     return hard_decision(res.f, resolve_delta(delta, g_obs))
 
 
@@ -226,5 +225,5 @@ def baseline2(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None
 
     `rg` is as in `kromfac`."""
     g_full = as_graph(_recovered(g_obs, cfg, rg), cfg.m)
-    res = commun_det(g_full, cfg.c, replace(cfg.detect, seed=detect_seed(cfg.seed, cfg.m)))
+    res = commun_det(g_full, cfg.c, cfg.detect, detect_seed(cfg.seed, cfg.m))
     return hard_decision(res.f, resolve_delta(cfg.delta, g_full))

@@ -1,6 +1,7 @@
 """Degree-centrality ranking of recovered nodes."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .completion import RecoveredGraph
@@ -11,7 +12,6 @@ from .graph import Graph
 class Ranking:
     h: int
     order: tuple[int, ...]  # recovered-node ids, descending centrality
-    epsilon: float
 
 
 def degree_centrality(g: Graph, u: int) -> int:
@@ -27,14 +27,14 @@ def select_influential(rg: RecoveredGraph, epsilon: float) -> Ranking:
 
     Ties break by ascending node id so the ranking is deterministic.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     cen = dict(zip(rg.recovered_ids, rg.degrees()[rg.n_observed:].tolist()))
     kept = sorted(
         (u for u, c in cen.items() if c >= epsilon),
         key=lambda u: (-cen[u], u),
     )
-    return Ranking(h=len(kept), order=tuple(kept), epsilon=epsilon)
+    return Ranking(h=len(kept), order=tuple(kept))
 
 
 def default_epsilon(rg: RecoveredGraph) -> float:

@@ -8,7 +8,6 @@ runtime-scaling fit — take a few minutes combined.
 import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,7 +167,7 @@ def test_detector_correctness():
     g = Graph(8, edges)
     planted = Cover((frozenset(range(4)), frozenset(range(4, 8))), 8)
     hits = sum(
-        nmi(planted, baseline1(g, 2, detect=DetectConfig(seed=s))) == 1.0
+        nmi(planted, baseline1(g, 2, seed=s)) == 1.0
         for s in range(10)
     )
     check("detector correctness", hits >= 8, f"exact recoveries {hits}/10")
@@ -196,7 +195,7 @@ def test_parameter_recovery():
         ]
         g = Graph(n, edges)
         model, _ = kronem_fit(
-            g, 0, 2, None, EmConfig(em_iters=8, grad_steps=20, mcmc_samples=400, seed=s)
+            g, 0, 2, None, EmConfig(em_iters=8, grad_steps=20, mcmc_samples=400), seed=s
         )
         errs.append(aligned_error(model.theta, theta_true))
     mean_err = float(np.mean(errs))
@@ -236,7 +235,7 @@ def study_seed(seed, n=150, c=3, strength=1.0, overlap=0.3):
     curve, best = [], None
     for i in range(ranking.h + 1):
         gi = as_graph(rg, i, ranking.order)
-        res = commun_det(gi, c, replace(cfg.detect, seed=detect_seed(cfg.seed, i)))
+        res = commun_det(gi, c, cfg.detect, detect_seed(cfg.seed, i))
         cov = hard_decision(res.f, default_delta(gi)).restrict(n_obs)
         score = nmi(truth_obs, cov)
         reg = regularized_loss(res.loss, i, lam)
@@ -245,7 +244,7 @@ def study_seed(seed, n=150, c=3, strength=1.0, overlap=0.3):
             best = (reg, i, score)
     b1 = nmi(
         truth_obs,
-        baseline1(g_obs, c, detect=replace(cfg.detect, seed=detect_seed(cfg.seed, 0))).restrict(n_obs),
+        baseline1(g_obs, c, detect=cfg.detect, seed=detect_seed(cfg.seed, 0)).restrict(n_obs),
     )
     b2 = nmi(truth_obs, baseline2(g_obs, cfg, rg).restrict(n_obs))
     return curve, best[1], best[2], b1, b2

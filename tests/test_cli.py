@@ -57,7 +57,7 @@ class TestUsageErrors:
         assert f"{flag}: must be >=" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
     def test_rejects_non_positive_eta_detect(self, tmp_path, capsys, value):
         edges = two_cliques_file(tmp_path)
         args = [
@@ -66,7 +66,9 @@ class TestUsageErrors:
         ]
         assert run_command(args) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1] == f"kromfac detect: error: argument --eta-detect: must be > 0, got {value}"
+        assert err[-1] == (
+            f"kromfac detect: error: argument --eta-detect: must be positive and finite, got {value}"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_complete_rejects_n0_below_two(self, tmp_path, capsys):

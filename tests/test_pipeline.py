@@ -65,8 +65,9 @@ class TestRegularizedLoss:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             regularized_loss(1.0, -1, 10.0)
-        with pytest.raises(ValueError):
-            regularized_loss(1.0, 0, 0.0)
+        for lam in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                regularized_loss(1.0, 0, lam)
 
 
 class TestKromfac:
@@ -74,8 +75,7 @@ class TestKromfac:
         g = two_cliques()
         cfg = small_cfg(0, 2, seed=3)
         cover, trace = kromfac(g, cfg)
-        det = replace(cfg.detect, seed=detect_seed(cfg.seed, 0))
-        b1 = baseline1(g, 2, cfg.delta, det)
+        b1 = baseline1(g, 2, cfg.delta, cfg.detect, detect_seed(cfg.seed, 0))
         assert cover == b1
         assert trace.i_hat == 0
         assert [e.i for e in trace.entries] == [0]
@@ -133,7 +133,7 @@ class TestSearch:
         assert trace.h == ranking.h > 2
         for entry in trace.entries:
             gi = as_graph(rg, entry.i, ranking.order)
-            alone = commun_det(gi, cfg.c, replace(cfg.detect, seed=detect_seed(cfg.seed, entry.i)))
+            alone = commun_det(gi, cfg.c, cfg.detect, detect_seed(cfg.seed, entry.i))
             assert entry.converged == alone.converged
             assert abs(entry.loss - alone.loss) <= 1e-12 * abs(alone.loss)
 
@@ -211,7 +211,7 @@ class TestBaselines:
         g = two_cliques()
         planted = {frozenset(range(4)), frozenset(range(4, 8))}
         hits = sum(
-            set(baseline1(g, 2, detect=DetectConfig(seed=s)).communities) == planted
+            set(baseline1(g, 2, seed=s).communities) == planted
             for s in range(10)
         )
         assert hits >= 8
@@ -220,8 +220,7 @@ class TestBaselines:
         g = two_cliques()
         cfg = small_cfg(0, 2, seed=10)
         b2 = baseline2(g, cfg)
-        det = replace(cfg.detect, seed=detect_seed(cfg.seed, 0))
-        assert b2 == baseline1(g, 2, cfg.delta, det)
+        assert b2 == baseline1(g, 2, cfg.delta, cfg.detect, detect_seed(cfg.seed, 0))
 
     def test_baseline2_universe(self):
         g = community_graph(6)
@@ -233,19 +232,9 @@ class TestBaselines:
         cfg = small_cfg(4, 2, seed=7)
         _, _, rg = complete(g, cfg.m, cfg.n0, cfg.em, cfg.seed)
         g_full = as_graph(rg, cfg.m)
-        res = commun_det(g_full, cfg.c, replace(cfg.detect, seed=detect_seed(cfg.seed, cfg.m)))
+        res = commun_det(g_full, cfg.c, cfg.detect, detect_seed(cfg.seed, cfg.m))
         expected = hard_decision(res.f, resolve_delta(cfg.delta, g_full))
         assert baseline2(g, cfg) == expected
-
-
-class TestComplete:
-    def test_em_seed_is_derived_from_master_seed(self):
-        g = community_graph(7)
-        a = complete(g, 3, 2, FAST_EM, 5)
-        b = complete(g, 3, 2, replace(FAST_EM, seed=99), 5)
-        assert np.array_equal(a[0].theta, b[0].theta)
-        assert np.array_equal(a[1].sigma, b[1].sigma)
-        assert a[2] == b[2]
 
 
 class TestResolveDelta:

@@ -75,6 +75,14 @@ class TestSelectInfluential:
         r = select_influential(rg, epsilon=1)
         assert all(u >= 6 for u in r.order)
 
+    @pytest.mark.parametrize(
+        "epsilon", [0.0, -1.0, float("nan"), float("inf")], ids=["zero", "neg", "nan", "inf"]
+    )
+    def test_rejects_bad_epsilon(self, epsilon):
+        rg = make_rg(6, {(0, 6), (1, 6)}, set(), 2)
+        with pytest.raises(ValueError, match="epsilon"):
+            select_influential(rg, epsilon)
+
 
 class TestDefaultEpsilon:
     def test_star_dominates(self):
@@ -99,7 +107,7 @@ def reference_ranking(rg, epsilon):
     full = full_graph(rg)
     cen = {u: degree_centrality(full, u) for u in rg.recovered_ids}
     kept = sorted((u for u, c in cen.items() if c >= epsilon), key=lambda u: (-cen[u], u))
-    return Ranking(h=len(kept), order=tuple(kept), epsilon=epsilon)
+    return Ranking(h=len(kept), order=tuple(kept))
 
 
 @st.composite
