@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import secrets
 import sys

@@ -1,18 +1,22 @@
 """Cover scoring, graph sampling, synthetic generation, and the
-experiment harness."""
+experiment harness. `agm_generate` draws its edges with the E-step's
+sampler, `graph.bernoulli_pairs`: one uniform per pair, in row-major
+order. `ff_sample` burns over the graph's CSR arrays with a boolean mask.
+"""
 from __future__ import annotations
 
 import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .community import Cover, agm_edge_prob, hard_decision
-from .graph import Graph, NodeIdMap, induced_subgraph
-from .pipeline import AUTO, KromfacConfig, SearchTrace, baseline1, baseline2, complete, detect_seed, kromfac
+from .community import Cover, hard_decision
+from .graph import Graph, bernoulli_pairs, induced_subgraph, neighbour_arrays
+from .pipeline import KromfacConfig, SearchTrace, baseline1, baseline2, complete, detect_seed, kromfac
 
 PLANTED_DELTA = 0.5
 
@@ -103,59 +107,50 @@ def rn_sample(g: Graph, spec: SampleSpec) -> tuple[Graph, set[int]]:
 
 
 def ff_sample(g: Graph, spec: SampleSpec) -> tuple[Graph, set[int]]:
-    """Forest-fire sampling: burn from random seeds until the target count
-    is reached, trimming overshoot in reverse burn order.
-
-    Each frontier node burns a geometric number of its unburned neighbors
-    (mean 1 / (1 - p_forward)), chosen uniformly.
+    """Forest-fire sampling: burn from uniform unburned seeds until
+    ceil(fraction * n) nodes burn. Each frontier node, first in first out,
+    burns a geometric number (mean 1 / (1 - p_forward)) of its unburned CSR
+    neighbours, chosen uniformly and burned in ascending order.
     """
     if spec.strategy != "ff":
         raise ValueError("spec.strategy must be 'ff'")
     rng = np.random.default_rng(spec.seed)
-    target = math.ceil(spec.fraction * g.n)
-    burned: list[int] = []
-    burned_set: set[int] = set()
-    while len(burned) < target:
-        unburned = [u for u in range(g.n) if u not in burned_set]
-        seed_node = int(rng.choice(unburned))
-        frontier = [seed_node]
-        burned.append(seed_node)
-        burned_set.add(seed_node)
-        while frontier and len(burned) < target:
-            u = frontier.pop(0)
-            fresh = [v for v in g.adjacency[u] if v not in burned_set]
-            if not fresh:
+    indptr, indices = neighbour_arrays(g)[:2]
+    burned = np.zeros(g.n, dtype=bool)
+    left = math.ceil(spec.fraction * g.n)
+    while left:
+        frontier = deque([int(rng.choice(np.flatnonzero(~burned)))])
+        burned[frontier[0]] = True
+        left -= 1
+        while frontier and left:
+            u = frontier.popleft()
+            nbr = indices[indptr[u] : indptr[u + 1]]
+            fresh = nbr[~burned[nbr]]
+            if not fresh.size:
                 continue
-            count = min(int(rng.geometric(1.0 - spec.p_forward)), len(fresh))
-            picks = rng.choice(len(fresh), size=count, replace=False)
-            for j in sorted(picks.tolist()):
-                v = fresh[j]
-                if v in burned_set:
-                    continue
-                burned.append(v)
-                burned_set.add(v)
-                frontier.append(v)
-                if len(burned) >= target:
-                    break
-    kept = set(burned[:target])
+            count = min(int(rng.geometric(1.0 - spec.p_forward)), fresh.size)
+            picks = fresh[np.sort(rng.choice(fresh.size, size=count, replace=False))][:left]
+            burned[picks] = True
+            frontier.extend(picks.tolist())
+            left -= picks.size
+    kept = set(np.flatnonzero(burned).tolist())
     sub, _ = induced_subgraph(g, kept)
     return sub, kept
 
 
 def agm_generate(f_true: np.ndarray, seed: int) -> tuple[Graph, Cover]:
     """Sample a graph from the affiliation model and return it with the
-    planted ground-truth cover (threshold 0.5)."""
+    planted ground-truth cover (threshold 0.5). Pair u < v joins with
+    probability 1 - exp(-<F_u, F_v>), drawn by graph.bernoulli_pairs: one
+    uniform per pair, in row-major order.
+    """
     f_true = np.asarray(f_true, dtype=float)
-    if np.any(f_true < 0):
-        raise ValueError("membership matrix must be nonnegative")
+    if not np.all(np.isfinite(f_true) & (f_true >= 0)):
+        raise ValueError("membership matrix must be nonnegative and finite")
     rng = np.random.default_rng(seed)
     n = f_true.shape[0]
-    edges = []
-    for u in range(n - 1):
-        for v in range(u + 1, n):
-            if rng.random() < agm_edge_prob(f_true[u], f_true[v]):
-                edges.append((u, v))
-    return Graph(n, edges), hard_decision(f_true, PLANTED_DELTA)
+    eu, ev = bernoulli_pairs(n, 0, lambda rows: -np.expm1(-(f_true[rows] @ f_true.T)), rng)
+    return Graph.from_arrays(n, eu, ev), hard_decision(f_true, PLANTED_DELTA)
 
 
 @dataclass(frozen=True)
@@ -248,28 +243,13 @@ def run_experiment(
         "baseline1": nmi(truth_obs, cover_b1.restrict(n_obs)),
         "baseline2": nmi(truth_obs, cover_b2.restrict(n_obs)),
     }
-    config_echo = {
-        "m": cfg.m,
-        "c": cfg.c,
-        "n0": cfg.n0,
-        "lambda_coef": cfg.lambda_coef,
-        "lambda_abs": cfg.lambda_abs,
-        "epsilon": cfg.epsilon,
-        "delta": cfg.delta,
-        "include_i0": cfg.include_i0,
-        "seed": cfg.seed,
-        "sample": {
-            "strategy": spec.strategy,
-            "fraction": spec.fraction,
-            "p_forward": spec.p_forward,
-            "seed": spec.seed,
-        },
-    }
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("em", "detect")}
+    echo["sample"] = asdict(spec)
     return ExperimentReport(
         scores=scores,
         trace=trace,
         timing=timing,
-        config=config_echo,
+        config=echo,
         fingerprint=graph_fingerprint(g_true),
         notes=tuple(notes),
     )

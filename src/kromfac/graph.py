@@ -16,11 +16,15 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# Rows drawn together by bernoulli_pairs (and tallied together by kron's
+# exact likelihood): O(_ROW_BLOCK * n) numbers at a time, never n x n.
+_ROW_BLOCK = 256
 
 
 class EdgeListParseError(ValueError):
@@ -145,6 +149,33 @@ def unique_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
     keys = keys[np.diff(keys, prepend=-1) != 0]  # keys >= 0: the first is kept
     return keys // n, keys % n
+
+
+def bernoulli_pairs(
+    n: int, first: int, prob: Callable[[np.ndarray], np.ndarray], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Bernoulli draw per pair u < v < n with v >= first: the sampler of
+    the Kronecker E-step, of realize_missing and of agm_generate.
+
+    prob(rows) gives the probabilities of a block of rows against the
+    columns first..n-1, shape (len(rows), n - first). Pairs are visited in
+    row-major order, with one sized rng.random draw per block of _ROW_BLOCK
+    rows: the same stream, and the same outcomes, as one scalar draw per
+    pair. Returns the joined pairs (eu, ev), row-major.
+    """
+    cols = np.arange(first, n)
+    eu, ev = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for r0 in range(0, n - 1 if cols.size else 0, _ROW_BLOCK):
+        rows = np.arange(r0, min(r0 + _ROW_BLOCK, n - 1))
+        p = prob(rows)
+        upper = rows[:, None] < cols
+        draw = np.zeros(p.shape)
+        draw[upper] = rng.random(np.count_nonzero(upper))
+        hit_r, hit_c = np.nonzero(upper & (draw < p))
+        del p, draw  # free this block before the next one is built
+        eu.append(rows[hit_r])
+        ev.append(cols[hit_c])
+    return np.concatenate(eu), np.concatenate(ev)
 
 
 def neighbour_arrays(g: Graph) -> tuple[np.ndarray, ...]:

@@ -23,8 +23,8 @@ log P - log1p(-P) built once per E-step, above it from the few entries
 it needs. Every proposal's position, target and uniform are drawn up
 front, so the random stream does not depend on any delta. The Gibbs
 resample and `realize_missing` share one sampler, `sample_missing_block`,
-which draws the missing pairs in row-major order, one block of rows at a
-time.
+which draws the missing pairs with `graph.bernoulli_pairs`: one uniform
+per pair, in row-major order, one block of rows at a time.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Graph, neighbour_arrays
+from .graph import _ROW_BLOCK, Graph, bernoulli_pairs, neighbour_arrays
 
 THETA_FLOOR = 1e-4
 THETA_CEIL = 1.0 - 1e-4
@@ -43,10 +43,6 @@ THETA_CEIL = 1.0 - 1e-4
 # this many indices; above it, the zero-sum falls back to a second-order
 # expansion with an explicit sum-over-edges correction.
 EXACT_PAIR_LIMIT = 4096
-
-# Node rows whose pair-type codes are computed together: the exact path
-# holds O(_ROW_BLOCK * n) numbers at a time, never an n x n array.
-_ROW_BLOCK = 256
 
 # Up to this many indices (n0**k), the MH deltas read two full
 # n0**k x n0**k float tables built once per E-step, 16 MB at the limit.
@@ -411,27 +407,18 @@ def sample_missing_block(
     """One Bernoulli draw per position pair u < v with v >= n_obs, joined
     with probability kron_entry(model, sigma[u], sigma[v]).
 
-    Pairs are visited in row-major order, with one sized rng.random draw
-    per block of _ROW_BLOCK rows: the same stream, and the same outcomes,
-    as one scalar draw per pair. At most O(k * _ROW_BLOCK * M) numbers are
-    held at a time. Returns the joined pairs (us, vs), row-major.
+    The draws come from graph.bernoulli_pairs: one uniform per pair, in
+    row-major order, one block of rows at a time, so at most
+    O(k * _ROW_BLOCK * M) numbers are held at once. Returns the joined
+    pairs (us, vs), row-major.
     """
-    n, n0, k = sigma.size, model.n0, model.k
-    cols = np.arange(n_obs, n)
-    us, vs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    if cols.size == 0:
-        return us[0], vs[0]
+    n0, k = model.n0, model.k
     col_codes = _col_codes(index_digits(sigma[n_obs:], n0, k), n0)
-    for r0 in range(0, n - 1, _ROW_BLOCK):
-        rows = np.arange(r0, min(r0 + _ROW_BLOCK, n - 1))
-        p = _row_entries(model.theta, index_digits(sigma[rows], n0, k), col_codes)
-        upper = rows[:, None] < cols
-        draw = np.zeros(p.shape)
-        draw[upper] = rng.random(np.count_nonzero(upper))
-        hit_r, hit_c = np.nonzero(upper & (draw < p))
-        us.append(rows[hit_r])
-        vs.append(cols[hit_c])
-    return np.concatenate(us), np.concatenate(vs)
+
+    def entries(rows):
+        return _row_entries(model.theta, index_digits(sigma[rows], n0, k), col_codes)
+
+    return bernoulli_pairs(sigma.size, n_obs, entries, rng)
 
 
 class _MhTables:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from kromfac.community import (
-    Cover,
     DetectConfig,
     agm_edge_prob,
     agm_log_likelihood,
@@ -170,7 +169,7 @@ class TestVectorizedOracle:
                 expect = reference_row_gradient(f, u, g.adjacency[u], total)
                 assert rel_err(row_gradient(f, u, g.adjacency[u], total), expect) <= 1e-12
 
-    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=graph_id)
     def test_log_likelihood_matches_pairwise(self, g):
         rng = np.random.default_rng(g.n + 1)
         for c in (1, 3):

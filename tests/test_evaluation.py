@@ -1,13 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kromfac import evaluation, pipeline
-from kromfac.community import Cover
+from kromfac.community import Cover, agm_edge_prob
 from kromfac.evaluation import (
-    ExperimentReport,
     SampleSpec,
     agm_generate,
     ff_sample,
@@ -17,7 +17,7 @@ from kromfac.evaluation import (
     rn_sample,
     run_experiment,
 )
-from kromfac.graph import Graph
+from kromfac.graph import Graph, induced_subgraph
 from kromfac.kron import EmConfig
 from kromfac.community import DetectConfig
 from kromfac.pipeline import KromfacConfig, complete
@@ -103,7 +103,64 @@ class TestRnSample:
         assert np.all(np.abs(counts / trials - p) <= 3 * se)
 
 
+def scalar_ff_sample(g, spec):
+    """Forest-fire oracle: the per-node loop over a Python set of burned
+    nodes, with the unburned list rebuilt at every restart."""
+    rng = np.random.default_rng(spec.seed)
+    target = math.ceil(spec.fraction * g.n)
+    burned: list[int] = []
+    burned_set: set[int] = set()
+    while len(burned) < target:
+        unburned = [u for u in range(g.n) if u not in burned_set]
+        seed_node = int(rng.choice(unburned))
+        frontier = [seed_node]
+        burned.append(seed_node)
+        burned_set.add(seed_node)
+        while frontier and len(burned) < target:
+            u = frontier.pop(0)
+            fresh = [v for v in g.adjacency[u] if v not in burned_set]
+            if not fresh:
+                continue
+            count = min(int(rng.geometric(1.0 - spec.p_forward)), len(fresh))
+            picks = rng.choice(len(fresh), size=count, replace=False)
+            for j in sorted(picks.tolist()):
+                v = fresh[j]
+                burned.append(v)
+                burned_set.add(v)
+                frontier.append(v)
+                if len(burned) >= target:
+                    break
+    kept = set(burned)
+    return induced_subgraph(g, kept)[0], kept
+
+
+def oracle_graphs(rng):
+    """Random graphs for the sampler oracles, some of many small components."""
+    graphs = [Graph(0, []), Graph(1, []), Graph(7, [])]
+    graphs.append(Graph(200, [(u, u + 1) for u in range(0, 200, 2)]))  # disjoint edges
+    graphs.append(Graph(60, [(u, u + 1) for u in range(60) if u % 3 != 2]))  # 3-node paths
+    for _ in range(10):
+        n = int(rng.integers(2, 120))
+        p = float(rng.choice([0.01, 0.05, 0.2, 0.6]))
+        pairs = np.argwhere(np.triu(rng.random((n, n)) < p, 1))
+        graphs.append(Graph(n, pairs.tolist()))
+    return graphs
+
+
 class TestFfSample:
+    def test_matches_scalar_loop(self):
+        rng = np.random.default_rng(14)
+        cases = 0
+        for gi, g in enumerate(oracle_graphs(rng)):
+            for fraction, p_forward in ((0.3, 0.7), (0.6, 0.2), (1.0, 0.5), (0.5, 1 - 1e-12)):
+                spec = SampleSpec("ff", fraction=fraction, p_forward=p_forward, seed=gi)
+                sub, kept = ff_sample(g, spec)
+                ref_sub, ref_kept = scalar_ff_sample(g, spec)
+                assert kept == ref_kept
+                assert sub == ref_sub
+                cases += 1
+        assert cases == 60
+
     def test_fraction_one_keeps_all(self):
         g = ring(12)
         _, kept = ff_sample(g, SampleSpec("ff", fraction=1.0, p_forward=0.3, seed=0))
@@ -146,7 +203,62 @@ class TestFfSample:
         assert wins >= 7
 
 
+def scalar_agm_edges(f, seed):
+    """AGM oracle: one scalar uniform per pair u < v, row-major."""
+    rng = np.random.default_rng(seed)
+    n = f.shape[0]
+    edges = []
+    for u in range(n - 1):
+        for v in range(u + 1, n):
+            if rng.random() < agm_edge_prob(f[u], f[v]):
+                edges.append((u, v))
+    return edges
+
+
+def study_memberships(n=150, c=3, overlap=0.3):
+    """The acceptance study's planted F: c blocks, each overlapping the next."""
+    f = np.zeros((n, c))
+    size = n // c
+    for j in range(c):
+        f[j * size : min(n, (j + 1) * size + int(size * overlap)), j] = 1.0
+    return f
+
+
 class TestAgmGenerate:
+    @pytest.mark.parametrize("seed", [s * 31 + 5 for s in range(10)])
+    def test_study_graphs_match_scalar_loop(self, seed):
+        g, _ = agm_generate(study_memberships(), seed)
+        assert list(g.edges()) == scalar_agm_edges(study_memberships(), seed)
+
+    def test_random_memberships_match_scalar_loop(self):
+        rng = np.random.default_rng(7)
+        cases = [np.zeros((2, 1)), np.ones((2, 1)), np.zeros((30, 3)), rng.random((1, 2))]
+        for _ in range(8):
+            n, c = int(rng.integers(2, 200)), int(rng.integers(1, 9))
+            cases.append(rng.exponential(float(rng.choice([0.05, 0.3, 1.0])), (n, c)))
+        for seed, f in enumerate(cases):
+            g, _ = agm_generate(f, seed)
+            assert list(g.edges()) == scalar_agm_edges(f, seed)
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_rejects_bad_membership(self, bad):
+        f = np.full((6, 2), 0.5)
+        f[3, 1] = bad
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            agm_generate(f, 0)
+
+    def test_peak_memory_is_per_block(self):
+        n = 3000
+        f = np.random.default_rng(0).random((n, 4)) * 0.1
+        all_at_once = 2 * (n * (n - 1) // 2) * 8  # probabilities and uniforms for every pair
+        tracemalloc.start()
+        try:
+            agm_generate(f, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < all_at_once / 3, f"peak {peak / 1e6:.1f} MB"
+
     def test_zero_f_gives_empty_graph(self):
         g, truth = agm_generate(np.zeros((10, 2)), seed=0)
         assert g.edge_count == 0
