@@ -4,7 +4,6 @@ networks via Kronecker-model completion and regularized NMF."""
 from .community import (
     Cover,
     DetectConfig,
-    agm_edge_prob,
     agm_log_likelihood,
     commun_det,
     default_delta,
@@ -33,7 +32,6 @@ __all__ = [
     "RecoveredGraph",
     "SampleSpec",
     "SearchTrace",
-    "agm_edge_prob",
     "agm_generate",
     "agm_log_likelihood",
     "as_graph",

@@ -92,15 +92,6 @@ class DetectResult:
     passes: int
 
 
-def agm_edge_prob(fu: np.ndarray, fv: np.ndarray) -> float:
-    """1 - exp(-<fu, fv>) for nonnegative membership rows."""
-    fu = np.asarray(fu, dtype=float)
-    fv = np.asarray(fv, dtype=float)
-    if np.any(fu < 0) or np.any(fv < 0):
-        raise ValueError("membership rows must be nonnegative")
-    return float(-np.expm1(-float(fu @ fv)))
-
-
 def _log1mexp(s: np.ndarray) -> np.ndarray:
     """log(1 - exp(-s)) with the documented floor on s."""
     return np.log(-np.expm1(-np.maximum(s, DOT_FLOOR)))

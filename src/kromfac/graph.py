@@ -22,8 +22,10 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# Rows drawn together by bernoulli_pairs (and tallied together by kron's
-# exact likelihood): O(_ROW_BLOCK * n) numbers at a time, never n x n.
+# Rows drawn together by bernoulli_pairs: O(_ROW_BLOCK * n) numbers at a
+# time, never n x n. kron's exact likelihood counts pair codes into a dense
+# tally _ROW_BLOCK**2 // n rows at a time (at most _ROW_BLOCK**2 codes,
+# whatever n), and into a sparse one _ROW_BLOCK rows at a time.
 _ROW_BLOCK = 256
 
 

@@ -9,9 +9,11 @@ The exact likelihood groups node pairs by type: the multiset of digit
 pairs (a, b) of sigma(u), sigma(v) over the k digits. Every pair of one
 type has the same probability prod theta_ab, so the sum over all u < v
 pairs becomes a sum over the occupied types (a few hundred for n0=2 at
-n≈2000), counted in row blocks without any n x n array. The tally does
-not depend on theta, so an M-step counts it once and every likelihood and
-gradient evaluation of that step reuses it.
+n≈2000), counted in row blocks without any n x n array. Where the type
+codes fit a dense tally (n0=2), a block holds at most _ROW_BLOCK**2
+pairs, so it takes the same memory at any n. The tally does not depend
+on theta, so an M-step counts it once and every likelihood and gradient
+evaluation of that step reuses it.
 
 The E-step state is three arrays: the placement sigma, the observed
 edges, and the missing edges of the last Gibbs resample as the sampler
@@ -185,6 +187,14 @@ def _pair_types(a_full, sigma: np.ndarray, n0: int, k: int) -> tuple[np.ndarray,
     indices a*n0 + b of type t, one per digit, so each pair of that type has
     probability prod(theta.flat[entries[t]]); pairs[t] and edges[t] count
     the u < v node pairs and the edges of type t.
+
+    A code space no larger than the pair count is counted into one array
+    of that length by bincount, in blocks of _ROW_BLOCK**2 // n rows: at
+    most _ROW_BLOCK**2 codes per block whatever n, so besides the
+    O(n * k * n0) digits and weights the tally holds
+    O(_ROW_BLOCK**2 + space) numbers at a time. A larger space is tallied
+    by np.unique in blocks of _ROW_BLOCK rows, whose occupied codes are
+    merged at the end.
     """
     n, q = sigma.size, n0 * n0
     dg = index_digits(sigma, n0, k)
@@ -192,23 +202,30 @@ def _pair_types(a_full, sigma: np.ndarray, n0: int, k: int) -> tuple[np.ndarray,
     if count_code:
         # Each digit pair (a, b) adds (k+1)**(a*n0 + b) to the code, the last
         # one nothing (its count is k minus the rest). Codes stay below 2**53,
-        # so the float64 product of one-hot digits x and weights y is exact.
+        # so the float64 product of a block's one-hot digits x and weights y
+        # is exact.
         space = (k + 1) ** (q - 1)
         w = np.append((k + 1.0) ** np.arange(q - 1), 0.0).reshape(n0, n0)
-        x = np.zeros((n, k * n0))
-        x[np.arange(n)[:, None], np.arange(k) * n0 + dg] = 1.0
-        y = w[:, dg].transpose(1, 2, 0).reshape(n, k * n0)  # y[v, d*n0 + a] = w[a, dg[v, d]]
+        y = w.T[dg].reshape(n, k * n0)  # y[v, d*n0 + a] = w[a, dg[v, d]]
     else:
         # The k entries a*n0 + b in ascending order, read in base q: below
         # q**k = (n0**k)**2, which int64 holds wherever the exact path runs.
         space = q**k
     dense = space <= _pair_count(n)
+    if dense:
+        tally = np.zeros(space, dtype=np.int64)
     us, vs = neighbour_arrays(a_full)[2:]  # sorted by u, with u < v
     type_codes, type_pairs, edge_codes = [], [], []
-    for r0 in range(0, n - 1, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, n)
+    # np.unique shrinks a block only as far as the block repeats its types,
+    # so small blocks leave it more codes to merge at the end (slower at
+    # n0 = 3 and 4 near the cut-over): its tally keeps _ROW_BLOCK rows.
+    rows = max(1, _ROW_BLOCK**2 // n) if dense else _ROW_BLOCK
+    for r0 in range(0, n - 1, rows):
+        r1 = min(r0 + rows, n)
         if count_code:
-            codes = (x[r0:r1] @ y[r0:].T).astype(np.int64)
+            # x[u, d*n0 + a] = (dg[u, d] == a), one row per node of the block
+            x = (dg[r0:r1, :, None] == np.arange(n0)).reshape(r1 - r0, k * n0)
+            codes = (x @ y[r0:].T).astype(np.int64)
         else:
             codes = np.sort(dg[r0:r1, None, :] * n0 + dg[None, r0:, :], axis=2) @ q ** np.arange(k)
         e0, e1 = np.searchsorted(us, [r0, r1])
@@ -218,19 +235,20 @@ def _pair_types(a_full, sigma: np.ndarray, n0: int, k: int) -> tuple[np.ndarray,
         b = r1 - r0
         parts = (codes[:, :b][np.arange(b)[:, None] < np.arange(b)], codes[:, b:].ravel())
         del codes  # free this block before the next one is built
-        if dense:
-            counts = np.bincount(parts[0], minlength=space) + np.bincount(parts[1], minlength=space)
-            occupied = np.flatnonzero(counts)
-            type_codes.append(occupied)
-            type_pairs.append(counts[occupied])
-        else:
-            for part in parts:
+        for part in parts:
+            if dense:
+                tally += np.bincount(part, minlength=space)
+            else:
                 occupied, counts = np.unique(part, return_counts=True)
                 type_codes.append(occupied)
                 type_pairs.append(counts)
-        del parts
-    types, inverse = np.unique(np.concatenate(type_codes), return_inverse=True)
-    pairs = np.bincount(inverse, weights=np.concatenate(type_pairs))
+        del parts, part
+    if dense:
+        types = np.flatnonzero(tally)
+        pairs = tally[types].astype(float)
+    else:
+        types, inverse = np.unique(np.concatenate(type_codes), return_inverse=True)
+        pairs = np.bincount(inverse, weights=np.concatenate(type_pairs))
     edges = np.bincount(np.searchsorted(types, np.concatenate(edge_codes)), minlength=types.size)
     if count_code:
         counts = types[:, None] // (k + 1) ** np.arange(q - 1) % (k + 1)

@@ -6,7 +6,6 @@ import pytest
 
 from kromfac.community import (
     DetectConfig,
-    agm_edge_prob,
     agm_log_likelihood,
     commun_det,
     commun_det_prefixes,
@@ -38,6 +37,15 @@ def random_graph(n, p, seed):
     return Graph(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     )
+
+
+def agm_edge_prob(fu, fv):
+    """1 - exp(-<fu, fv>) for nonnegative membership rows (scalar oracle)."""
+    fu = np.asarray(fu, dtype=float)
+    fv = np.asarray(fv, dtype=float)
+    if np.any(fu < 0) or np.any(fv < 0):
+        raise ValueError("membership rows must be nonnegative")
+    return float(-np.expm1(-float(fu @ fv)))
 
 
 def row_gradient(f, u, neighbors, total):
@@ -176,7 +184,7 @@ class TestVectorizedOracle:
             f = rng.uniform(0.0, 1.5, size=(g.n, c))
             assert rel_err(agm_log_likelihood(g, f), reference_ll(g, f)) <= 1e-12
 
-    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=repr)
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=graph_id)
     def test_one_pass_matches_scalar_update(self, g):
         for seed in range(3):
             cfg = DetectConfig(max_iters=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kromfac import evaluation, pipeline
-from kromfac.community import Cover, agm_edge_prob
+from kromfac.community import Cover
 from kromfac.evaluation import (
     SampleSpec,
     agm_generate,
@@ -21,6 +21,7 @@ from kromfac.graph import Graph, induced_subgraph
 from kromfac.kron import EmConfig
 from kromfac.community import DetectConfig
 from kromfac.pipeline import KromfacConfig, complete
+from test_community import agm_edge_prob
 
 
 def cover(universe, *groups):

@@ -20,6 +20,7 @@ from kromfac.kron import (
     _mcmc_sigma,
     _MhRows,
     _MhTables,
+    _pair_types,
     _place,
     _row_entries,
     _symmetrize,
@@ -224,6 +225,56 @@ class TestPairTypeOracle:
             finally:
                 tracemalloc.stop()
             assert peak < limit, f"{fn.__name__} peaked at {peak} bytes"
+
+
+def random_pair_graph(n, m, rng):
+    """n nodes and the distinct pairs among m random draws, plus the last
+    pair (n-2, n-1), which falls in the last row block at any block size."""
+    ends = np.sort(rng.integers(n, size=(m, 2)), axis=1)
+    return Graph(n, sorted({(a, b) for a, b in ends.tolist() if a < b} | {(n - 2, n - 1)}))
+
+
+class TestPairTypeBlocks:
+    """_pair_types' bincount tally takes blocks of at most _ROW_BLOCK**2
+    codes, however many rows that is at this n; np.unique's takes
+    _ROW_BLOCK rows."""
+
+    @pytest.mark.parametrize("n0, k", [
+        (2, 9),  # count codes tallied by bincount
+        (3, 6),  # count codes tallied by np.unique
+        (8, 3),  # sorted codes tallied by np.unique
+    ])
+    def test_tally_does_not_depend_on_block_size(self, monkeypatch, n0, k):
+        n = 300
+        rng = np.random.default_rng(n0)
+        sigma = rng.choice(n0**k, size=n, replace=False)
+        g = random_pair_graph(n, 3 * n, rng)
+        # The default makes a full block and a partial one on both branches.
+        assert kron_mod._ROW_BLOCK**2 // n < kron_mod._ROW_BLOCK < n - 1
+        tallies = []
+        for side in (1, kron_mod._ROW_BLOCK, n):  # one row per block, the default, one block
+            monkeypatch.setattr(kron_mod, "_ROW_BLOCK", side)
+            tallies.append(_pair_types(g, sigma, n0, k))
+        for got in tallies[1:]:
+            for a, b in zip(got, tallies[0]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_likelihood_peak_memory_does_not_grow_with_n(self, n):
+        # n0**k = EXACT_PAIR_LIMIT, so both sizes take the exact path. Blocks
+        # of a fixed row count would grow with n: 256 rows peak at 9.3 MB
+        # and 18.7 MB here.
+        rng = np.random.default_rng(n)
+        g = random_pair_graph(n, 4 * n, rng)
+        model = KroneckerModel(2, np.array([[0.9, 0.6], [0.5, 0.2]]), 12)
+        mapping = NodeMapping(rng.permutation(2**12)[:n])
+        tracemalloc.start()
+        try:
+            kron_log_likelihood(g, mapping, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestGradient:
