@@ -93,18 +93,78 @@ class DetectResult:
 
 
 def _log1mexp(s: np.ndarray) -> np.ndarray:
-    """log(1 - exp(-s)) with the documented floor on s."""
-    return np.log(-np.expm1(-np.maximum(s, DOT_FLOOR)))
+    """log(1 - exp(-s)) with the documented floor on s, in one new array."""
+    out = np.maximum(s, DOT_FLOOR)
+    np.negative(out, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    return np.log(out, out=out)
 
 
-def _log_likelihood(f: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> float:
-    """agm_log_likelihood from the edge endpoints of neighbour_arrays."""
-    edge_dots = np.einsum("ij,ij->i", f[eu], f[ev])
-    edge_term = float(np.sum(_log1mexp(edge_dots)))
-    total = np.sum(f, axis=0)
-    all_pairs = (float(total @ total) - float(np.sum(f * f))) / 2.0
-    nonedge_sum = all_pairs - float(np.sum(edge_dots))
-    return edge_term - nonedge_sum
+def _loss_runs(sizes: Sequence[int], eu: np.ndarray, ev: np.ndarray, c: int) -> list[tuple]:
+    """How `_log_likelihoods` reads a node-major stack of candidates: runs
+    of consecutive candidates j0..j1-1, with the flat row ids u * stack
+    size + j of their edge endpoints (concatenated) and each candidate's
+    offsets into them.
+
+    Candidate j reads its first sizes[j] rows and the edges (eu, ev) with
+    ev < sizes[j], in their (u, v) order. A run grows while the numbers it
+    copies, squares and gathers, 2 * c * (run length * largest size + edge
+    count), stay within numpy's ufunc buffer size (np.getbufsize(), 8,192
+    by default); a candidate larger than that runs alone. So many small
+    candidates share numpy calls, and large ones hold no more than their
+    own arrays at a time, as one evaluation per candidate did."""
+    budget = np.getbufsize()
+    inside = [ev < n for n in sizes]
+    counts = [int(np.count_nonzero(m)) for m in inside]
+    runs, j0 = [], 0
+    for j1 in range(1, len(sizes) + 1):
+        if j1 < len(sizes) and 2 * c * ((j1 + 1 - j0) * sizes[j1] + sum(counts[j0:j1 + 1])) <= budget:
+            continue
+        run = range(j0, j1)
+        ends = np.cumsum([0] + counts[j0:j1]).tolist()
+        iu = np.concatenate([eu[inside[j]] * len(sizes) + j for j in run])
+        iv = np.concatenate([ev[inside[j]] * len(sizes) + j for j in run])
+        runs.append((j0, j1, iu, iv, ends))
+        j0 = j1
+    return runs
+
+
+def _log_likelihoods(f: np.ndarray, sizes: Sequence[int], runs: list[tuple]) -> list[float]:
+    """agm_log_likelihood of each candidate j of the node-major stack f
+    (f[u, j] is row u of candidate j) on its first sizes[j] rows, read as
+    `_loss_runs` lays out, one run at a time."""
+    return [ll for run in runs for ll in _run_log_likelihoods(f, sizes, run)]
+
+
+def _run_log_likelihoods(f: np.ndarray, sizes: Sequence[int], run: tuple) -> list[float]:
+    """The log-likelihoods of one run (j0, j1, iu, iv, ends) of candidates.
+
+    The run shares one gather, one einsum, one _log1mexp and one copy of
+    its rows in candidate order. Each candidate then takes only
+    np.add.reduce calls, over its own contiguous slices of the run's
+    arrays: the same elements in the same order as an evaluation of that
+    candidate alone, so the same bits. Its arrays are freed on return,
+    before the next run gathers."""
+    j0, j1, iu, iv, ends = run
+    flat = f.reshape(-1, f.shape[-1])
+    edge_dots = np.einsum("ij,ij->i", flat.take(iu, axis=0), flat.take(iv, axis=0))
+    edge_logs = _log1mexp(edge_dots)
+    own = f[:sizes[j1 - 1], j0:j1].swapaxes(0, 1).copy()
+    squares = np.square(own)
+    run_sizes = sizes[j0:j1]
+    totals = np.empty((j1 - j0, f.shape[-1]))
+    for r, n in enumerate(run_sizes):
+        np.add.reduce(own[r, :n], axis=0, out=totals[r])
+    total_sq = np.vecdot(totals, totals).tolist()
+    out = []
+    for r, n in enumerate(run_sizes):
+        lo, hi = ends[r], ends[r + 1]
+        edge_term = float(np.add.reduce(edge_logs[lo:hi]))
+        all_pairs = (total_sq[r] - float(np.add.reduce(squares[r, :n], axis=None))) / 2.0
+        nonedge_sum = all_pairs - float(np.add.reduce(edge_dots[lo:hi]))
+        out.append(edge_term - nonedge_sum)
+    return out
 
 
 def agm_log_likelihood(g: Graph, f: np.ndarray) -> float:
@@ -120,7 +180,8 @@ def agm_log_likelihood(g: Graph, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape[0] != g.n:
         raise ValueError("F row count must match node count")
-    return _log_likelihood(f, *neighbour_arrays(g)[2:])
+    eu, ev = neighbour_arrays(g)[2:]
+    return _log_likelihoods(f[:, None], [g.n], _loss_runs([g.n], eu, ev, f.shape[1]))[0]
 
 
 def loss(g: Graph, f: np.ndarray) -> float:
@@ -128,29 +189,37 @@ def loss(g: Graph, f: np.ndarray) -> float:
     return -agm_log_likelihood(g, f)
 
 
-def _sum_in_order(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis strictly in index order (x is overwritten).
+def _sum_nbrs(x: np.ndarray) -> np.ndarray:
+    """Sum of x over its neighbour axis (0), strictly in index order.
 
-    Appended zeros then leave every bit unchanged, which np.sum's pairwise
-    blocks and BLAS kernels (whose order also follows memory alignment) do
-    not promise: it is what lets `commun_det_prefixes` pad a candidate's
-    neighbour list with zero rows and still match the candidate run
-    alone."""
-    if x.shape[-1] == 0:
-        return x.sum(axis=-1)
-    return np.add.accumulate(x, axis=-1, out=x)[..., -1]
+    np.add.reduce adds along that axis one slice x[i] at a time, in order,
+    when a slice has more than one element. With one element (c = 1 and
+    one candidate) numpy drops the other axes from the loop and the reduce
+    turns pairwise, so that shape is summed by accumulation. In-order sums
+    are what let `commun_det_prefixes` pad a candidate's neighbour block
+    with zero rows and still match the candidate run alone."""
+    if x.size == len(x) > 1:
+        return np.add.accumulate(x, axis=0)[-1]
+    return np.add.reduce(x, axis=0)
 
 
 def _gradient(s: np.ndarray, nbr_rows: np.ndarray, total_other: np.ndarray) -> np.ndarray:
     """Row gradient from the neighbour dots s = nbr_rows @ F_u, for one row
-    or a stack of rows (leading axes of s, nbr_rows and total_other).
+    or a stack of rows: the stack axes lead s and total_other, and follow
+    the neighbour axis of nbr_rows.
 
     Each weight is formed as e / (1 - e) + 1, the same arithmetic as the
     per-neighbour reference in the tests: the line-search trajectory is
     sensitive to its last bits, and 1 / -expm1(-s) moved a detection loss
     by 1e-9 relative on the benchmark inputs."""
-    e = np.exp(-np.maximum(s, DOT_FLOOR))
-    return _sum_in_order(nbr_rows.mT * (e / (1.0 - e) + 1.0)[..., None, :]) - total_other
+    e = np.maximum(s, DOT_FLOOR)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.divide(e, np.subtract(1.0, e), out=e)
+    e += 1.0
+    grad = _sum_nbrs(nbr_rows * e.T[..., None])
+    grad -= total_other
+    return grad
 
 
 def density_delta(n: int, edge_count: int) -> float:
@@ -184,12 +253,12 @@ def commun_det(
 
     Rows update in ascending node order. Each row step is a projected
     (F >= 0) gradient step on the row's local objective with a line search
-    over step_init, step_init / 2, ..., step_init / 2**9: the row itself and
-    all 10 trial points are evaluated together in one matrix product, and
-    the first trial that does not lower the objective is taken (none: the
-    row stays). That is the step sequential backtracking would accept.
-    Stops when the loss improvement over a full pass falls below
-    eta_detect.
+    over step_init, step_init / 2, ..., step_init / 2**9: the 10 trial
+    points and, last, the row itself are evaluated together in one matrix
+    product, and the first trial that does not lower the objective is
+    taken (none: the row stays). That is the step sequential backtracking
+    would accept. Stops when the loss improvement over a full pass falls
+    below eta_detect.
 
     This is the one-candidate call of `commun_det_prefixes`, seeded by `seed`.
     """
@@ -206,13 +275,18 @@ def commun_det_prefixes(
     own size and edge count), pass count, convergence test and result, as
     if run alone. A neighbour outside a candidate's prefix has a zero row
     in its stack, so it adds nothing to the candidate's dots and gradient,
-    and it is masked out of the log term; the sums over neighbours run in
-    index order, so these trailing zeros leave them bit for bit unchanged.
-    What can still differ from a run alone, in the last bits, is a BLAS
-    dot product over the c columns, whose kernel may depend on the row
-    count and alignment of the call. Memory is O(len(sizes) * g.n * c)
-    for the stacked affiliations plus one row's neighbour block per
-    candidate; no candidate-by-node-by-degree table is built.
+    and it is masked out of the log term. Every sum over neighbours runs
+    in index order (`_sum_nbrs`: a reduce over the neighbour axis, an
+    accumulation when c = 1), so these trailing zeros leave it bit for bit
+    unchanged. The per-pass losses of the live candidates are evaluated
+    together (`_log_likelihoods`), each candidate's terms added as in an
+    evaluation of it alone. What can still differ from a run alone, in the last
+    bits, is a BLAS dot product over the c columns, whose kernel may
+    depend on the row count and alignment of the call. Memory is
+    O(len(sizes) * g.n * c) for the stacked affiliations plus one row's
+    neighbour block per candidate, and for the losses at most
+    np.getbufsize() numbers per run of candidates or one candidate's own
+    edge gather; no candidate-by-node-by-degree table is built.
     """
     sizes = [int(n) for n in sizes]
     if c < 1:
@@ -222,15 +296,18 @@ def commun_det_prefixes(
     if sizes[-1] > g.n or sizes != sorted(sizes) or len(seeds) != len(sizes):
         raise ValueError("need ascending sizes of at most g.n nodes, one seed each")
     indptr, indices, eu, ev = neighbour_arrays(g)
-    f = np.zeros((len(sizes), g.n, c))  # rows past a candidate's prefix stay 0
-    edges, prev = [], []
+    # Node-major: f[u, b] is row u of candidate b, and rows past a
+    # candidate's prefix stay 0.
+    f = np.zeros((g.n, len(sizes), c))
+    total = np.empty((len(sizes), c))
     for b, (n, seed) in enumerate(zip(sizes, seeds)):
-        inside = ev < n  # eu < ev, and the (u, v) order is kept
-        edges.append((eu[inside], ev[inside]))
-        f[b, :n] = _init_rows(n, int(np.count_nonzero(inside)), c, seed)
-        prev.append(-_log_likelihood(f[b, :n], *edges[b]))
-    total = np.stack([f[b, :n].sum(axis=0) for b, n in enumerate(sizes)])
-    steps = np.concatenate([[0.0], np.ldexp(cfg.step_init, -np.arange(10))])[:, None]
+        f[:n, b] = init = _init_rows(n, int(np.count_nonzero(ev < n)), c, seed)
+        total[b] = init.sum(axis=0)
+    del init
+    live_sizes, runs = sizes, _loss_runs(sizes, eu, ev, c)
+    prev = [-ll for ll in _log_likelihoods(f, sizes, runs)]
+    # The halvings, then the row itself (step 0).
+    steps = np.append(np.ldexp(cfg.step_init, -np.arange(10)), 0.0)[:, None]
     # last[u] is u's largest neighbour, -1 without any.
     last = np.full(g.n, -1, dtype=np.intp)
     has_nbr = indptr[1:] > indptr[:-1]
@@ -239,10 +316,10 @@ def commun_det_prefixes(
     live = list(range(len(sizes)))  # the stack f holds these candidates, in order
     results: list[DetectResult | None] = [None] * len(sizes)
     for passes in range(1, cfg.max_iters + 1):
-        _lockstep_pass(f, total, [sizes[b] for b in live], indptr, indices, last, steps)
+        _lockstep_pass(f, total, live_sizes, indptr, indices, last, steps)
         keep = []
-        for j, b in enumerate(live):
-            cur_loss = -_log_likelihood(f[j, :sizes[b]], *edges[b])
+        for j, (b, ll) in enumerate(zip(live, _log_likelihoods(f, live_sizes, runs))):
+            cur_loss = -ll
             eta = cfg.eta_detect
             if eta is None:
                 eta = 1e-4 * (1.0 + abs(cur_loss))
@@ -254,11 +331,13 @@ def commun_det_prefixes(
                 prev[b] = cur_loss
                 keep.append(j)
                 continue
-            results[b] = DetectResult(loss_b, f[j, :sizes[b]].copy(), converged, passes)
+            results[b] = DetectResult(loss_b, f[:sizes[b], j].copy(), converged, passes)
         if not keep:
             break
         if len(keep) < len(live):
-            f, total, live = f[keep], total[keep], [live[j] for j in keep]
+            f, total, live = f.take(keep, axis=1), total[keep], [live[j] for j in keep]
+            live_sizes = [sizes[b] for b in live]
+            runs = _loss_runs(live_sizes, eu, ev, c)
     return results
 
 
@@ -271,14 +350,24 @@ def _lockstep_pass(
     last: list[int],
     steps: np.ndarray,
 ) -> None:
-    """One pass of row updates, in place, for the stacked candidates f
-    (ascending `sizes`) with column sums `total`.
+    """One pass of row updates, in place, for the node-major stack f
+    (f[u, b] is row u of candidate b, `sizes` ascending) with column sums
+    total[b].
 
     Row u updates every candidate with more than u nodes at once, from one
-    gathered neighbour block rows[b] = f[b, nbr]. Only when u's largest
+    gathered neighbour block rows = f[nbr], neighbour axis first. Its 11
+    trials are built in `steps` order: the 10 halvings, then the row
+    itself, whose dots are replaced by s, the bits the gradient used. The
+    row itself always passes the acceptance test, so argmax picks the
+    first accepted halving, or the row when none is. The dots come out
+    neighbour axis first too, so the objective's sum over neighbours, like
+    the gradient's, is a reduce over axis 0 that adds one neighbour's slice
+    for all candidates and trials at a time, in index order. The one block
+    numpy would add pairwise instead, a gradient's (d, 1) with c = 1 and
+    one candidate, is accumulated (`_sum_nbrs`). Only when u's largest
     neighbour last[u] lies outside the smallest such candidate are
-    neighbours masked, in the log term, where a zero dot is floored
-    rather than zero.
+    neighbours masked, in the log term, where a zero dot is floored rather
+    than zero.
     """
     smallest = 0
     for u in range(sizes[-1]):
@@ -290,33 +379,36 @@ def _lockstep_pass(
                 # One candidate: views without the stack axis, so the same
                 # lines below run as plain matrix-vector products, which
                 # numpy dispatches faster than one-item stacks.
-                fa, ta, size_col, stack_index = f[k], total[k], smallest, ()
+                fa, ta, trial_steps = f[:, k], total[k], steps
+                active_sizes, stack_index = smallest, ()
             else:
-                fa, ta = f[k:], total[k:]
-                size_col = np.array(sizes[k:])[:, None]
+                fa, ta, trial_steps = f[:, k:], total[k:], steps[..., None]
+                active_sizes = np.array(sizes[k:])
                 stack_index = (np.arange(len(sizes) - k),)
         nbr = indices[indptr[u]:indptr[u + 1]]
-        fu = fa[..., u, :]
-        rows = fa[..., nbr, :]
+        fu = fa[u]
+        rows = fa.take(nbr, axis=0)
+        # swapaxes(0, -2) moves the stack axis, if any, first.
+        by_cand = rows.swapaxes(0, -2)
         total_other = ta - fu
-        s = np.matvec(rows, fu)
+        s = np.matvec(by_cand, fu)
         grad = _gradient(s, rows, total_other)
-        # Trial 0 is fu itself (step 0) and its dots are s, the bits the
-        # gradient used; trials 1..10 are the halvings.
-        cands = np.maximum(fu[..., None, :] + steps * grad[..., None, :], 0.0)
-        dots = cands @ rows.mT
-        dots[..., 0, :] = s
+        cands = trial_steps * grad
+        cands += fu
+        np.maximum(cands, 0.0, out=cands)
+        cands = cands.swapaxes(0, -2)
+        dots = np.empty(rows.shape[:-1] + (len(steps),))
+        np.matmul(by_cand, cands.mT, out=dots.swapaxes(0, -2))
+        dots[..., -1] = s.T
         log_term = _log1mexp(dots)
         if last[u] >= smallest:
-            log_term *= (nbr < size_col)[..., None, :]
+            log_term *= np.less.outer(nbr, active_sizes)[..., None]
         # Row objective: sum over neighbours of log(1 - e^-dot) + dot, minus
         # the trial's dot with total_other.
         log_term += dots
-        obj = _sum_in_order(log_term) - np.matvec(cands, total_other)
-        accepted = obj >= obj[..., :1]
-        accepted[..., 0] = False
-        # With no trial accepted, argmax picks trial 0: the row stays.
-        new = cands[stack_index + (accepted.argmax(axis=-1),)]
+        obj = np.add.reduce(log_term, axis=0)
+        obj -= np.matvec(cands, total_other)
+        new = cands[stack_index + ((obj >= obj[..., -1:]).argmax(axis=-1),)]
         ta += new - fu
         fu[...] = new
 

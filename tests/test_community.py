@@ -1,22 +1,27 @@
 import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from kromfac.community import (
     DetectConfig,
+    DetectResult,
     agm_log_likelihood,
     commun_det,
     commun_det_prefixes,
     default_delta,
     _gradient,
     _init_rows,
+    _log_likelihoods,
+    _loss_runs,
+    _sum_nbrs,
     hard_decision,
     loss,
 )
 from kromfac.completion import RecoveredGraph, as_graph
-from kromfac.graph import Graph
+from kromfac.graph import Graph, neighbour_arrays
 
 
 def brute_force_ll(g, f):
@@ -490,6 +495,206 @@ class TestLockstepOracle:
             tracemalloc.stop()
         assert table_bytes > 20e6
         assert peak < table_bytes / 4, f"peak {peak / 1e6:.1f} MB"
+
+
+def reference_sum_in_order(x):
+    """Sum over the last axis strictly in index order (x is overwritten)."""
+    if x.shape[-1] == 0:
+        return x.sum(axis=-1)
+    return np.add.accumulate(x, axis=-1, out=x)[..., -1]
+
+
+def reference_log_likelihood(f, eu, ev):
+    """One candidate's agm_log_likelihood from its edge endpoints."""
+    edge_dots = np.einsum("ij,ij->i", f[eu], f[ev])
+    edge_term = float(np.sum(np.log(-np.expm1(-np.maximum(edge_dots, 1e-10)))))
+    total = np.sum(f, axis=0)
+    all_pairs = (float(total @ total) - float(np.sum(f * f))) / 2.0
+    return edge_term - (all_pairs - float(np.sum(edge_dots)))
+
+
+def reference_lockstep_pass(f, total, sizes, indptr, indices, last, steps):
+    """One pass of the candidate-major row loop: trial 0 is the row itself,
+    neighbour sums accumulate along the last axis."""
+    smallest = 0
+    for u in range(sizes[-1]):
+        if u == smallest:
+            k = bisect_right(sizes, u)
+            smallest = sizes[k]
+            if k == len(sizes) - 1:
+                fa, ta, size_col, stack_index = f[k], total[k], smallest, ()
+            else:
+                fa, ta = f[k:], total[k:]
+                size_col = np.array(sizes[k:])[:, None]
+                stack_index = (np.arange(len(sizes) - k),)
+        nbr = indices[indptr[u]:indptr[u + 1]]
+        fu = fa[..., u, :]
+        rows = fa[..., nbr, :]
+        total_other = ta - fu
+        s = np.matvec(rows, fu)
+        e = np.exp(-np.maximum(s, 1e-10))
+        grad = reference_sum_in_order(rows.mT * (e / (1.0 - e) + 1.0)[..., None, :]) - total_other
+        cands = np.maximum(fu[..., None, :] + steps * grad[..., None, :], 0.0)
+        dots = cands @ rows.mT
+        dots[..., 0, :] = s
+        log_term = np.log(-np.expm1(-np.maximum(dots, 1e-10)))
+        if last[u] >= smallest:
+            log_term *= (nbr < size_col)[..., None, :]
+        log_term += dots
+        obj = reference_sum_in_order(log_term) - np.matvec(cands, total_other)
+        accepted = obj >= obj[..., :1]
+        accepted[..., 0] = False
+        new = cands[stack_index + (accepted.argmax(axis=-1),)]
+        ta += new - fu
+        fu[...] = new
+
+
+def reference_commun_det_prefixes(g, sizes, c, cfg, seeds):
+    """commun_det_prefixes with a candidate-major stack and one likelihood
+    evaluation per candidate and pass, kept as the bit-identity oracle."""
+    indptr, indices, eu, ev = neighbour_arrays(g)
+    f = np.zeros((len(sizes), g.n, c))
+    edges, prev = [], []
+    for b, (n, seed) in enumerate(zip(sizes, seeds)):
+        inside = ev < n
+        edges.append((eu[inside], ev[inside]))
+        f[b, :n] = _init_rows(n, int(np.count_nonzero(inside)), c, seed)
+        prev.append(-reference_log_likelihood(f[b, :n], *edges[b]))
+    total = np.stack([f[b, :n].sum(axis=0) for b, n in enumerate(sizes)])
+    steps = np.concatenate([[0.0], np.ldexp(cfg.step_init, -np.arange(10))])[:, None]
+    last = np.full(g.n, -1, dtype=np.intp)
+    has_nbr = indptr[1:] > indptr[:-1]
+    last[has_nbr] = indices[indptr[1:][has_nbr] - 1]
+    last, indptr = last.tolist(), indptr.tolist()
+    live = list(range(len(sizes)))
+    results = [None] * len(sizes)
+    for passes in range(1, cfg.max_iters + 1):
+        reference_lockstep_pass(f, total, [sizes[b] for b in live], indptr, indices, last, steps)
+        keep = []
+        for j, b in enumerate(live):
+            cur_loss = -reference_log_likelihood(f[j, :sizes[b]], *edges[b])
+            eta = cfg.eta_detect
+            if eta is None:
+                eta = 1e-4 * (1.0 + abs(cur_loss))
+            if prev[b] - cur_loss < eta:
+                loss_b, converged = min(prev[b], cur_loss), True
+            elif passes == cfg.max_iters:
+                loss_b, converged = cur_loss, False
+            else:
+                prev[b] = cur_loss
+                keep.append(j)
+                continue
+            results[b] = DetectResult(loss_b, f[j, :sizes[b]].copy(), converged, passes)
+        if not keep:
+            break
+        if len(keep) < len(live):
+            f, total, live = f[keep], total[keep], [live[j] for j in keep]
+    return results
+
+
+def hub_graph(n, p, seed):
+    """A random graph on n nodes whose node n // 3 is joined to every
+    other node, plus one isolated node (id n)."""
+    g = random_graph(n, p, seed)
+    hub = n // 3
+    return Graph(n + 1, set(g.edges()) | {(min(hub, v), max(hub, v)) for v in range(n) if v != hub})
+
+
+class TestStackedKernelOracle:
+    """The node-major row kernel and the stacked per-pass losses give the
+    candidate-major reference's bits exactly: no tolerance."""
+
+    @staticmethod
+    def assert_same(got, expect):
+        for a, b in zip(got, expect, strict=True):
+            assert (a.loss, a.passes, a.converged) == (b.loss, b.passes, b.converged)
+            assert a.f.shape == b.f.shape and np.array_equal(a.f, b.f)
+
+    @pytest.mark.parametrize("step_init", [0.05, 1.0, 10.0])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_prefix_stacks_match_reference(self, c, step_init):
+        rng = np.random.default_rng(100 * c + int(step_init))
+        for count in range(1, 6):
+            g = hub_graph(int(rng.integers(12, 30)), 0.2, int(rng.integers(1000)))
+            cut = sorted(rng.choice(np.arange(2, g.n), size=count - 1, replace=False).tolist())
+            sizes = cut + [g.n]  # the largest prefix holds the isolated node
+            seeds = rng.integers(0, 1000, size=count).tolist()
+            cfg = DetectConfig(max_iters=30, step_init=step_init)
+            self.assert_same(
+                commun_det_prefixes(g, sizes, c, cfg, seeds),
+                reference_commun_det_prefixes(g, sizes, c, cfg, seeds),
+            )
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_one_candidate_matches_reference(self, c):
+        # c = 1 with one candidate is the shape whose neighbour sums numpy
+        # would add pairwise; the hub's row sums the most neighbours.
+        g = hub_graph(40, 0.1, 7 + c)
+        for step_init in (0.05, 1.0, 10.0):
+            cfg = DetectConfig(max_iters=40, step_init=step_init, eta_detect=1e-12)
+            self.assert_same([commun_det(g, c, cfg, 3)], reference_commun_det_prefixes(g, [g.n], c, cfg, [3]))
+
+    def test_recovered_prefixes_match_reference(self):
+        # The pipeline's input: observed nodes first, recovered ones after,
+        # one of them a hub, candidates leaving the stack at different passes.
+        rg = planted_recovered(5, hub=18)
+        g = as_graph(rg, 6, [18, 16, 17, 19, 20, 21])
+        sizes, seeds = [16 + i for i in range(7)], [1000 + 7 * i for i in range(7)]
+        for c in (1, 2, 3):
+            cfg = DetectConfig(max_iters=200)
+            self.assert_same(
+                commun_det_prefixes(g, sizes, c, cfg, seeds),
+                reference_commun_det_prefixes(g, sizes, c, cfg, seeds),
+            )
+
+
+NEIGHBOUR_SUM_SHAPES = [(1,), (3,), (11,), (1, 1), (5, 1), (5, 3), (1, 11), (5, 11)]
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 7, 40, 600])
+@pytest.mark.parametrize("rest", NEIGHBOUR_SUM_SHAPES, ids=lambda r: "x".join(map(str, r)))
+def test_neighbour_sum_is_in_index_order(d, rest):
+    # rest is the shape of one neighbour's slice: (c,) for one candidate,
+    # (candidates, c) for a stack, with c = 11 for the trial objectives.
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(d,) + rest) * rng.choice([1e-3, 1.0, 1e3], size=(d,) + rest)
+    expect = np.add.accumulate(x, axis=0)[-1] if d else np.zeros(rest)
+    got = _sum_nbrs(x)
+    assert got.shape == rest
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_stacked_loss_memory_is_bounded():
+    # Star-hub prefixes: 41 candidates of about 1,200 edges each. Runs of
+    # candidates share a gather up to numpy's buffer size, and a candidate
+    # larger than that is gathered alone, so the peak stays near the budget
+    # plus one candidate's own arrays, not the sum over candidates.
+    n_base, m, c = 600, 40, 2
+    base = Graph(n_base, [(0, v) for v in range(1, n_base)])
+    hub = n_base
+    z1 = {(u, hub) for u in range(n_base)} | {(0, n_base + r) for r in range(m)}
+    z2 = {(hub, n_base + r) for r in range(1, m)}
+    g = as_graph(recovered(base, m, z1, z2), m)
+    _, _, eu, ev = neighbour_arrays(g)
+    sizes = [n_base + i for i in range(m + 1)]
+    edges = [(eu[ev < n], ev[ev < n]) for n in sizes]
+    f = np.random.default_rng(0).uniform(0.0, 1.0, size=(g.n, len(sizes), c))
+    runs = _loss_runs(sizes, eu, ev, c)
+    own = max(2 * c * (n + len(eu_b)) for n, (eu_b, _) in zip(sizes, edges))
+    everything = sum(2 * c * (n + len(eu_b)) for n, (eu_b, _) in zip(sizes, edges))
+    # 8 bytes a number; a run's edge dots and log terms add at most half
+    # of its gather.
+    bound = 8 * 1.5 * (np.getbufsize() + own)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = _log_likelihoods(f, sizes, runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [reference_log_likelihood(f[:n, j], *edges[j]) for j, n in enumerate(sizes)]
+    assert 8 * everything > 2 * bound  # one gather of every candidate would not fit
+    assert peak < bound, f"peak {peak / 1e3:.0f} kB, bound {bound / 1e3:.0f} kB"
 
 
 class TestDetectConfigValidation:
