@@ -49,7 +49,7 @@ def _count(minimum: int):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", required=True, help="edge-list input file")
     p.add_argument("--out", default=".", help="output directory (default: cwd)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_count(0), default=None,
                    help="master RNG seed; a random seed is drawn and printed if omitted")
     p.add_argument("-v", "--verbose", action="store_true")
 

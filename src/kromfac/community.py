@@ -24,6 +24,10 @@ from .graph import Graph, neighbour_arrays
 # memberships cannot produce -inf.
 DOT_FLOOR = 1e-10
 DELTA_FLOOR = 1e-6
+# The row loop's scalar operands as 0-d arrays: numpy converts a Python
+# float on every ufunc call, which costs more than the call's arithmetic
+# on these small operands. Same values, so the same bits.
+_DOT_FLOOR, _ZERO, _ONE = np.array(DOT_FLOOR), np.array(0.0), np.array(1.0)
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,12 @@ class DetectResult:
     passes: int
 
 
-def _log1mexp(s: np.ndarray) -> np.ndarray:
-    """log(1 - exp(-s)) with the documented floor on s, in one new array."""
-    out = np.maximum(s, DOT_FLOOR)
+def _log1mexp(s: np.ndarray, floor: np.ndarray = _DOT_FLOOR) -> np.ndarray:
+    """log(1 - exp(-s)) with s floored at `floor`, in one new array.
+
+    The floor is DOT_FLOOR, or an array of it broadcast against s: an
+    entry floored at +inf gives log(1 - 0) = 0 exactly."""
+    out = np.maximum(s, floor)
     np.negative(out, out=out)
     np.expm1(out, out=out)
     np.negative(out, out=out)
@@ -205,19 +212,19 @@ def _sum_nbrs(x: np.ndarray) -> np.ndarray:
 
 def _gradient(s: np.ndarray, nbr_rows: np.ndarray, total_other: np.ndarray) -> np.ndarray:
     """Row gradient from the neighbour dots s = nbr_rows @ F_u, for one row
-    or a stack of rows: the stack axes lead s and total_other, and follow
-    the neighbour axis of nbr_rows.
+    or a stack of rows: the neighbour axis leads s and nbr_rows, the stack
+    axes, if any, follow it there and lead total_other.
 
     Each weight is formed as e / (1 - e) + 1, the same arithmetic as the
     per-neighbour reference in the tests: the line-search trajectory is
     sensitive to its last bits, and 1 / -expm1(-s) moved a detection loss
     by 1e-9 relative on the benchmark inputs."""
-    e = np.maximum(s, DOT_FLOOR)
+    e = np.maximum(s, _DOT_FLOOR)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    np.divide(e, np.subtract(1.0, e), out=e)
-    e += 1.0
-    grad = _sum_nbrs(nbr_rows * e.T[..., None])
+    np.divide(e, np.subtract(_ONE, e), out=e)
+    e += _ONE
+    grad = _sum_nbrs(nbr_rows * e[..., None])
     grad -= total_other
     return grad
 
@@ -275,8 +282,9 @@ def commun_det_prefixes(
     own size and edge count), pass count, convergence test and result, as
     if run alone. A neighbour outside a candidate's prefix has a zero row
     in its stack, so it adds nothing to the candidate's dots and gradient,
-    and it is masked out of the log term. Every sum over neighbours runs
-    in index order (`_sum_nbrs`: a reduce over the neighbour axis, an
+    and it is masked out of the log term: its dots are floored at +inf
+    there, which makes its log term exactly 0. Every sum over neighbours
+    runs in index order (`_sum_nbrs`: a reduce over the neighbour axis, an
     accumulation when c = 1), so these trailing zeros leave it bit for bit
     unchanged. The per-pass losses of the live candidates are evaluated
     together (`_log_likelihoods`), each candidate's terms added as in an
@@ -286,7 +294,12 @@ def commun_det_prefixes(
     O(len(sizes) * g.n * c) for the stacked affiliations plus one row's
     neighbour block per candidate, and for the losses at most
     np.getbufsize() numbers per run of candidates or one candidate's own
-    edge gather; no candidate-by-node-by-degree table is built.
+    edge gather; no candidate-by-node-by-degree table is built. The
+    masked rows' floors are built at their first update and kept until
+    the live set shrinks: at most one number per masked row's neighbour
+    slot per live candidate, so at most 2 * g.edge_count * len(sizes)
+    numbers; a row is masked only when it has a neighbour outside the
+    smallest live prefix that holds it.
     """
     sizes = [int(n) for n in sizes]
     if c < 1:
@@ -314,9 +327,10 @@ def commun_det_prefixes(
     last[has_nbr] = indices[indptr[1:][has_nbr] - 1]
     last, indptr = last.tolist(), indptr.tolist()
     live = list(range(len(sizes)))  # the stack f holds these candidates, in order
+    floors = [None] * g.n  # the masked rows' log-term floors, per live set
     results: list[DetectResult | None] = [None] * len(sizes)
     for passes in range(1, cfg.max_iters + 1):
-        _lockstep_pass(f, total, live_sizes, indptr, indices, last, steps)
+        _lockstep_pass(f, total, live_sizes, indptr, indices, last, steps, floors)
         keep = []
         for j, (b, ll) in enumerate(zip(live, _log_likelihoods(f, live_sizes, runs))):
             cur_loss = -ll
@@ -338,6 +352,7 @@ def commun_det_prefixes(
             f, total, live = f.take(keep, axis=1), total[keep], [live[j] for j in keep]
             live_sizes = [sizes[b] for b in live]
             runs = _loss_runs(live_sizes, eu, ev, c)
+            floors = [None] * g.n
     return results
 
 
@@ -349,6 +364,7 @@ def _lockstep_pass(
     indices: np.ndarray,
     last: list[int],
     steps: np.ndarray,
+    floors: list[np.ndarray | None],
 ) -> None:
     """One pass of row updates, in place, for the node-major stack f
     (f[u, b] is row u of candidate b, `sizes` ascending) with column sums
@@ -359,16 +375,25 @@ def _lockstep_pass(
     trials are built in `steps` order: the 10 halvings, then the row
     itself, whose dots are replaced by s, the bits the gradient used. The
     row itself always passes the acceptance test, so argmax picks the
-    first accepted halving, or the row when none is. The dots come out
-    neighbour axis first too, so the objective's sum over neighbours, like
-    the gradient's, is a reduce over axis 0 that adds one neighbour's slice
-    for all candidates and trials at a time, in index order. The one block
-    numpy would add pairwise instead, a gradient's (d, 1) with c = 1 and
-    one candidate, is accumulated (`_sum_nbrs`). Only when u's largest
-    neighbour last[u] lies outside the smallest such candidate are
-    neighbours masked, in the log term, where a zero dot is floored rather
-    than zero.
+    first accepted halving, or the row when none is. The dots s and the
+    trial dots come out neighbour axis first, so the objective's sum over
+    neighbours, like the gradient's, is a reduce over axis 0 that adds one
+    neighbour's slice for all candidates and trials at a time, in index
+    order. The one block numpy would add pairwise instead, a gradient's
+    (d, 1) with c = 1 and one candidate, is accumulated (`_sum_nbrs`).
+
+    Only when u's largest neighbour last[u] lies outside the smallest such
+    candidate are neighbours masked out of the log term, where a zero dot
+    is floored rather than zero: the row's floor, floors[u], is DOT_FLOOR
+    for a neighbour inside a candidate's prefix and +inf outside it, so a
+    masked log term is exactly 0. floors[u] depends only on u's neighbours
+    and the live candidates' sizes; it is built at the row's first masked
+    update and kept while the caller keeps the list, which it renews when
+    the live set shrinks. Each floor holds one number per neighbour per
+    candidate the row updates.
     """
+    matvec, matmul, empty, add_reduce = np.matvec, np.matmul, np.empty, np.add.reduce
+    dots_tail = (len(steps),)
     smallest = 0
     for u in range(sizes[-1]):
         if u == smallest:
@@ -391,23 +416,29 @@ def _lockstep_pass(
         # swapaxes(0, -2) moves the stack axis, if any, first.
         by_cand = rows.swapaxes(0, -2)
         total_other = ta - fu
-        s = np.matvec(by_cand, fu)
+        s = empty(rows.shape[:-1])
+        matvec(by_cand, fu, out=s.T)
         grad = _gradient(s, rows, total_other)
         cands = trial_steps * grad
         cands += fu
-        np.maximum(cands, 0.0, out=cands)
+        np.maximum(cands, _ZERO, out=cands)
         cands = cands.swapaxes(0, -2)
-        dots = np.empty(rows.shape[:-1] + (len(steps),))
-        np.matmul(by_cand, cands.mT, out=dots.swapaxes(0, -2))
-        dots[..., -1] = s.T
-        log_term = _log1mexp(dots)
-        if last[u] >= smallest:
-            log_term *= np.less.outer(nbr, active_sizes)[..., None]
+        dots = empty(rows.shape[:-1] + dots_tail)
+        matmul(by_cand, cands.mT, out=dots.swapaxes(0, -2))
+        dots[..., -1] = s
+        if last[u] < smallest:
+            log_term = _log1mexp(dots)
+        else:
+            floor = floors[u]
+            if floor is None:
+                inside = np.less.outer(nbr, active_sizes)[..., None]
+                floor = floors[u] = np.where(inside, _DOT_FLOOR, np.inf)
+            log_term = _log1mexp(dots, floor)
         # Row objective: sum over neighbours of log(1 - e^-dot) + dot, minus
         # the trial's dot with total_other.
         log_term += dots
-        obj = np.add.reduce(log_term, axis=0)
-        obj -= np.matvec(cands, total_other)
+        obj = add_reduce(log_term, axis=0)
+        obj -= matvec(cands, total_other)
         new = cands[stack_index + ((obj >= obj[..., -1:]).argmax(axis=-1),)]
         ta += new - fu
         fu[...] = new

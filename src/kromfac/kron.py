@@ -445,39 +445,46 @@ class _MhTables:
     With P = theta^k, the tables are L1P = log1p(-P) and W = log P - L1P
     over the whole index space, and L(i) = sum_v L1P[i, sigma_v] over all
     positions v. `sigma` is _mcmc_sigma's list, read here and changed only
-    there, and a delta is a loop over Python scalars. Only an accepted move
-    changes L.
+    there, and a delta is a loop over Python scalars. The deltas read L and
+    the tables through flat memoryviews of the same arrays (entry [a, b] at
+    a * n0**k + b), whose items are Python floats: the same doubles in the
+    same subtractions as numpy scalars, without boxing each read, and no
+    second copy of a table. Only an accepted move changes L, in place.
     """
 
     def __init__(self, sigma: list[int], graph: Graph, model: KroneckerModel):
         p = np.ones((1, 1))
         while p.shape[0] < model.num_indices:
             p = np.kron(p, model.theta)
-        self.w = np.log(p)
+        w = np.log(p)
         self.l1p = np.log1p(np.negative(p, out=p), out=p)
-        self.w -= self.l1p
+        w -= self.l1p
         occupied = np.zeros(model.num_indices)
         occupied[sigma] = 1.0
         self.ll = self.l1p @ occupied
+        self.nk = model.num_indices
+        flat = (memoryview(a.reshape(-1)) for a in (w, self.l1p, self.ll))
+        self.w_flat, self.l1p_flat, self.ll_flat = flat
         self.sigma = sigma
         self.nbrs = graph.adjacency
 
-    def _w_gain(self, x: int, skip: int, new: np.ndarray, old: np.ndarray) -> float:
-        """Sum over v in N(x), v != skip, of new[sigma_v] - old[sigma_v]."""
-        sigma, d = self.sigma, 0.0
+    def _w_gain(self, x: int, skip: int, new: int, old: int) -> float:
+        """Sum over v in N(x), v != skip, of W[new, sigma_v] - W[old, sigma_v]."""
+        sigma, w, d = self.sigma, self.w_flat, 0.0
+        new, old = new * self.nk, old * self.nk
         for v in self.nbrs[x]:
             if v != skip:
                 s = sigma[v]
-                d += new[s] - old[s]
+                d += w[new + s] - w[old + s]
         return d
 
     def move_delta(self, x: int, t: int) -> float:
-        sx, ll, l1p, w = self.sigma[x], self.ll, self.l1p, self.w
-        return float((ll[t] - ll[sx]) - (l1p[t, sx] - l1p[sx, sx]) + self._w_gain(x, -1, w[t], w[sx]))
+        sx, ll, l1p, nk = self.sigma[x], self.ll_flat, self.l1p_flat, self.nk
+        return (ll[t] - ll[sx]) - (l1p[t * nk + sx] - l1p[sx * nk + sx]) + self._w_gain(x, -1, t, sx)
 
     def swap_delta(self, x: int, y: int) -> float:
-        sx, t, w = self.sigma[x], self.sigma[y], self.w
-        return float(self._w_gain(x, y, w[t], w[sx]) + self._w_gain(y, x, w[sx], w[t]))
+        sx, t = self.sigma[x], self.sigma[y]
+        return self._w_gain(x, y, t, sx) + self._w_gain(y, x, sx, t)
 
     def accept(self, x: int, t: int, y: int) -> None:
         """Called before x takes index t from its holder y (-1: none)."""

@@ -58,6 +58,8 @@ class KromfacConfig:
     def __post_init__(self):
         if self.m < 0 or self.c < 1:
             raise ValueError("need m >= 0 and c >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lambda_coef < math.inf:
             raise ValueError(f"lambda_coef must be positive and finite, got {self.lambda_coef}")
         if self.lambda_abs is not None and not 0 < self.lambda_abs < math.inf:

@@ -57,6 +57,22 @@ class TestUsageErrors:
         assert f"{flag}: must be >=" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "baseline1", "complete", "sample", "experiment"])
+    def test_rejects_negative_seed(self, tmp_path, capsys, command):
+        edges = two_cliques_file(tmp_path)
+        args = {
+            "detect": ["--communities", "2", "--missing", "2"],
+            "baseline1": ["--communities", "2"],
+            "complete": ["--missing", "2"],
+            "sample": ["--strategy", "ff"],
+            "experiment": ["--communities", "2", "--truth", str(edges)],
+        }[command]
+        out = tmp_path / "o"
+        assert run_command([command, "--edges", str(edges), "--out", str(out), *args, "--seed", "-5"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == f"kromfac {command}: error: argument --seed: must be >= 0, got -5"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
     def test_rejects_non_positive_eta_detect(self, tmp_path, capsys, value):
         edges = two_cliques_file(tmp_path)
@@ -308,6 +324,12 @@ GOLDEN_ARTEFACTS = {
         "sampled.txt": "adef35f24f011f263e5e5daedb827096129933775de684391d74e888ad2cbc3a",
         "kept.txt": "392306f996c5ec31929420a36d7e67517d9235484e90bc2299af0698c82fde60",
     },
+    # H = 2: three candidates share the lockstep search, so a last-bit
+    # change in its row updates moves these bytes.
+    "detect": {
+        "cover.txt": "9f4a570b65a4f21b56c564547804cd4065c12c568b517dbeecbaf084ad2187cb",
+        "trace.json": "6c9d2f646a137c762d33b146c7e40aea1664c3d2d78029a4095d1fa686a4b95b",
+    },
 }
 
 
@@ -318,9 +340,15 @@ class TestGoldenArtefacts:
         args = {
             "complete": ["complete", "--missing", "2", *FAST_EM],
             "sample": ["sample", "--strategy", "ff", "--fraction", "0.6"],
+            "detect": [
+                "detect", "--communities", "2", "--missing", "3", "--epsilon", "0.5",
+                *FAST_EM, *FAST_DETECT,
+            ],
         }[command]
         out = tmp_path / "out"
         assert run_command([*args, "--edges", str(edges), "--seed", "3", "--out", str(out)]) == 0
+        if command == "detect":
+            assert json.loads((out / "trace.json").read_text(encoding="utf-8"))["h"] == 2
         got = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in GOLDEN_ARTEFACTS[command]

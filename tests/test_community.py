@@ -634,6 +634,24 @@ class TestStackedKernelOracle:
             cfg = DetectConfig(max_iters=40, step_init=step_init, eta_detect=1e-12)
             self.assert_same([commun_det(g, c, cfg, 3)], reference_commun_det_prefixes(g, [g.n], c, cfg, [3]))
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_one_masked_candidate_matches_reference(self, c):
+        # One candidate on a prefix that leaves nodes out: the hub's row and
+        # the rows of the left-out nodes' neighbours are masked on the
+        # one-candidate path, over 200 passes. Near convergence, the floored
+        # log terms of the left-out neighbours, were they not masked, would
+        # flip line-search comparisons for each c.
+        g, n = hub_graph(40, 0.1, 7 + c), 20
+        indptr, indices, _, _ = neighbour_arrays(g)
+        masked = [u for u in range(n) if indptr[u + 1] > indptr[u] and indices[indptr[u + 1] - 1] >= n]
+        assert len(masked) > 1
+        for step_init in (0.05, 1.0, 10.0):
+            cfg = DetectConfig(max_iters=200, step_init=step_init, eta_detect=1e-300)
+            self.assert_same(
+                commun_det_prefixes(g, [n], c, cfg, [3]),
+                reference_commun_det_prefixes(g, [n], c, cfg, [3]),
+            )
+
     def test_recovered_prefixes_match_reference(self):
         # The pipeline's input: observed nodes first, recovered ones after,
         # one of them a hub, candidates leaving the stack at different passes.
@@ -646,6 +664,22 @@ class TestStackedKernelOracle:
                 commun_det_prefixes(g, sizes, c, cfg, seeds),
                 reference_commun_det_prefixes(g, sizes, c, cfg, seeds),
             )
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_live_set_shrinks_with_masked_rows(self, c):
+        # The hub, joined to every observed node, is the last recovered
+        # node, so only the largest candidate holds it and every observed
+        # row is masked for the others. Candidates leave the stack at
+        # different passes while smaller ones than the whole graph stay, so
+        # the masked rows' floors are rebuilt for each shrunken live set.
+        rg = planted_recovered(5, hub=18)
+        g = as_graph(rg, 6, [16, 17, 19, 20, 21, 18])
+        sizes, seeds = [16 + i for i in range(7)], [1000 + 7 * i for i in range(7)]
+        cfg = DetectConfig(max_iters=200)
+        got = commun_det_prefixes(g, sizes, c, cfg, seeds)
+        self.assert_same(got, reference_commun_det_prefixes(g, sizes, c, cfg, seeds))
+        first_out = min(r.passes for r in got)
+        assert any(r.passes > first_out for r, n in zip(got, sizes) if n < g.n)
 
 
 NEIGHBOUR_SUM_SHAPES = [(1,), (3,), (11,), (1, 1), (5, 1), (5, 3), (1, 11), (5, 11)]

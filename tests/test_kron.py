@@ -771,6 +771,96 @@ class TestDigitTableEstep:
         self.test_golden_fit(n0)
 
 
+class ReferenceMhTables:
+    """The tables path with every read an ndarray index, numpy scalars in
+    the sums: the bit-identity oracle of _MhTables's memoryview reads.
+    It builds its own tables, the same way, from the model."""
+
+    def __init__(self, sigma, graph, model):
+        p = np.ones((1, 1))
+        while p.shape[0] < model.num_indices:
+            p = np.kron(p, model.theta)
+        self.w = np.log(p)
+        self.l1p = np.log1p(np.negative(p, out=p), out=p)
+        self.w -= self.l1p
+        occupied = np.zeros(model.num_indices)
+        occupied[sigma] = 1.0
+        self.ll = self.l1p @ occupied
+        self.sigma = sigma
+        self.nbrs = graph.adjacency
+
+    def _w_gain(self, x, skip, new, old):
+        sigma, d = self.sigma, 0.0
+        for v in self.nbrs[x]:
+            if v != skip:
+                s = sigma[v]
+                d += new[s] - old[s]
+        return d
+
+    def move_delta(self, x, t):
+        sx, ll, l1p, w = self.sigma[x], self.ll, self.l1p, self.w
+        return float((ll[t] - ll[sx]) - (l1p[t, sx] - l1p[sx, sx]) + self._w_gain(x, -1, w[t], w[sx]))
+
+    def swap_delta(self, x, y):
+        sx, t, w = self.sigma[x], self.sigma[y], self.w
+        return float(self._w_gain(x, y, w[t], w[sx]) + self._w_gain(y, x, w[sx], w[t]))
+
+    def accept(self, x, t, y):
+        if y < 0:
+            self.ll += self.l1p[t] - self.l1p[self.sigma[x]]
+
+
+class TestMhTablesOracle:
+    """_MhTables gives ReferenceMhTables's deltas bit for bit, so the MH
+    sweep accepts the same proposals."""
+
+    @pytest.mark.parametrize("n0, n_obs, m", TestDigitTableEstep.CASES)
+    def test_deltas_equal_reference(self, n0, n_obs, m):
+        # Random proposals, each delta from both classes on one shared
+        # sigma, the accepted ones applied to both. Swaps of two adjacent
+        # positions are the ones whose sums skip a neighbour.
+        sigma, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 5)
+        model = KroneckerModel(n0, _symmetrize(model.theta), model.k)
+        nk = model.num_indices
+        mu, mv = sample_missing_block(model, sigma, n_obs, np.random.default_rng(6))
+        graph = Graph(sigma.size, [*g.edges(), *missing_edges(mu, mv)])
+        placed = sigma.tolist()
+        holders = holder_list(placed, nk)
+        got_mh, ref_mh = _MhTables(placed, graph, model), ReferenceMhTables(placed, graph, model)
+        rng = np.random.default_rng(11)
+        seen = {"move": 0, "swap": 0, "adjacent swap": 0}
+        for _ in range(400):
+            x, t, u = int(rng.integers(sigma.size)), int(rng.integers(nk)), rng.random()
+            y = holders[t]
+            if y == x:
+                continue
+            if y < 0:
+                got, expect = got_mh.move_delta(x, t), ref_mh.move_delta(x, t)
+            else:
+                got, expect = got_mh.swap_delta(x, y), ref_mh.swap_delta(x, y)
+                seen["adjacent swap"] += graph.has_edge(x, y)
+            assert type(got) is float and got == expect, (x, t, y)
+            seen["move" if y < 0 else "swap"] += 1
+            if u < math.exp(min(got, 0.0)):
+                got_mh.accept(x, t, y)
+                ref_mh.accept(x, t, y)
+                _place(placed, holders, x, t)
+        assert seen["swap"] and seen["adjacent swap"] and (seen["move"] or sigma.size == nk)
+
+    @pytest.mark.parametrize("n0, n_obs, m", TestDigitTableEstep.CASES)
+    def test_mcmc_sigma_equals_reference(self, monkeypatch, n0, n_obs, m):
+        sigma, model, g = random_state(n0, n_obs, m, seed=n0 * 100 + n_obs + 6)
+        model = KroneckerModel(n0, _symmetrize(model.theta), model.k)
+        mu, mv = sample_missing_block(model, sigma, n_obs, np.random.default_rng(2))
+        graph = Graph(sigma.size, [*g.edges(), *missing_edges(mu, mv)])
+        got, expect = sigma.copy(), sigma.copy()
+        _mcmc_sigma(got, graph, model, 500, np.random.default_rng(13))
+        monkeypatch.setattr(kron_mod, "_MhTables", ReferenceMhTables)
+        _mcmc_sigma(expect, graph, model, 500, np.random.default_rng(13))
+        assert got.tolist() != sigma.tolist()  # some proposals were taken
+        assert got.tolist() == expect.tolist()
+
+
 def mh_peak(n_obs, m):
     """tracemalloc peak of one _mcmc_sigma call of 200 proposals on a sparse
     random graph, with sigma and the sampled graph built beforehand; also

@@ -108,6 +108,12 @@ class TestKromfac:
         with pytest.raises(ValueError, match="no candidates"):
             kromfac(g, cfg)
 
+    def test_rejects_negative_seed(self):
+        # numpy's own message for it, "expected non-negative integer",
+        # would not name the seed.
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            KromfacConfig(m=1, c=1, seed=-1)
+
     def test_h_zero_flags_degenerate_trace(self):
         g = two_cliques()
         _, trace = kromfac(g, small_cfg(0, 2, seed=8))
