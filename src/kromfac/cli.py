@@ -16,7 +16,9 @@ from .community import Cover, DetectConfig
 from .evaluation import SampleSpec, ff_sample, nmi, rn_sample, run_experiment
 from .graph import NodeIdMap, load_edge_list, write_edge_list
 from .kron import EmConfig
-from .pipeline import AUTO, KromfacConfig, baseline1, baseline2, complete, detect_seed, kromfac, subseed
+from .pipeline import (
+    _SEED_SAMPLE, AUTO, KromfacConfig, baseline1, baseline2, complete, detect_seed, kromfac, subseed,
+)
 
 
 def _threshold(value: str) -> float | str:
@@ -64,7 +66,7 @@ def _add_em_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_detect_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--communities", type=int, required=True, help="community count C")
+    p.add_argument("--communities", type=_count(1), required=True, help="community count C")
     p.add_argument("--delta", type=_threshold, default=AUTO,
                    help="membership threshold, or 'auto' (default)")
     p.add_argument("--eta-detect", type=_positive, default=None,
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_detect_flags(p)
     _add_em_flags(p)
-    p.add_argument("--missing", type=int, required=True, help="missing-node count M")
+    p.add_argument("--missing", type=_count(0), required=True, help="missing-node count M")
     _add_search_flags(p)
 
     p = sub.add_parser("baseline1", help="detection on the observed graph only")
@@ -104,12 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_detect_flags(p)
     _add_em_flags(p)
-    p.add_argument("--missing", type=int, required=True)
+    p.add_argument("--missing", type=_count(0), required=True)
 
     p = sub.add_parser("complete", help="fit the Kronecker model and realize the missing part")
     _add_common(p)
     _add_em_flags(p)
-    p.add_argument("--missing", type=int, required=True)
+    p.add_argument("--missing", type=_count(0), required=True)
 
     p = sub.add_parser("sample", help="RN/FF subsample of a graph")
     _add_common(p)
@@ -318,7 +320,7 @@ def _cmd_experiment(args) -> int:
         strategy=args.strategy,
         fraction=args.fraction,
         p_forward=args.p_forward,
-        seed=subseed(seed, 50),
+        seed=subseed(seed, _SEED_SAMPLE),
     )
     # m=0 is a placeholder: run_experiment sets m to the sampler's deletion count.
     report = run_experiment(g, truth, spec, _kromfac_config(args, 0, seed))

@@ -23,9 +23,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 # Rows drawn together by bernoulli_pairs: O(_ROW_BLOCK * n) numbers at a
-# time, never n x n. kron's exact likelihood counts pair codes into a dense
-# tally _ROW_BLOCK**2 // n rows at a time (at most _ROW_BLOCK**2 codes,
-# whatever n), and into a sparse one _ROW_BLOCK rows at a time.
+# time, never n x n.
 _ROW_BLOCK = 256
 
 

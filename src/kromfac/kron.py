@@ -260,20 +260,29 @@ def _pair_types(a_full, sigma: np.ndarray, n0: int, k: int) -> tuple[np.ndarray,
 
 
 def _mstep_summary(a_full, mapping: NodeMapping, model: KroneckerModel):
-    """The theta-independent part of the likelihood of one graph and placement.
+    """The theta-independent part of the likelihood of one graph and
+    placement, and the one place that picks the likelihood's path.
 
-    On the exact path it is the pair-type tally (entries, pairs, edges) of
-    _pair_types; otherwise it is, for every edge u < v and digit d, the
-    flat theta index a*n0 + b of the digit pair (k x edges). None when
-    there are no pairs.
+    Checks the mapping length and the index space first. Then returns None
+    when n <= 1; up to EXACT_PAIR_LIMIT indices, the exact path's tally
+    (entries, pairs, edges) of _pair_types; above it, the series path's
+    (edge_codes, rho): the flat theta index a*n0 + b of the digit pair of
+    every edge u < v and digit d (k x edges), and the share rho of the
+    index pairs that the mapped nodes occupy.
     """
-    if a_full.n <= 1:
+    n, nk = a_full.n, model.num_indices
+    if len(mapping) != n:
+        raise ValueError("mapping length must equal node count")
+    if nk < n:
+        raise ValueError("model index space too small for graph")
+    if n <= 1:
         return None
     n0, k, sigma = model.n0, model.k, mapping.sigma
-    if model.num_indices <= EXACT_PAIR_LIMIT:
+    if nk <= EXACT_PAIR_LIMIT:
         return _pair_types(a_full, sigma, n0, k)
     us, vs = neighbour_arrays(a_full)[2:]
-    return (index_digits(sigma[us], n0, k) * n0 + index_digits(sigma[vs], n0, k)).T
+    edge_codes = (index_digits(sigma[us], n0, k) * n0 + index_digits(sigma[vs], n0, k)).T
+    return edge_codes, _pair_count(n) / _pair_count(nk)
 
 
 def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel, *, _summary=None) -> float:
@@ -282,90 +291,56 @@ def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel, *, 
     Sums over unordered node pairs u < v:
         a_uv * log p + (1 - a_uv) * log(1 - p),  p = [theta^k]_{sigma(u), sigma(v)}.
 
-    Exact when n0**k <= EXACT_PAIR_LIMIT: p depends only on the pair's type
-    t (the multiset of digit pairs of sigma(u), sigma(v)), so the sum is
-        sum_t E_t * log p_t + (A_t - E_t) * log(1 - p_t)
-    over the occupied types, with A_t pairs and E_t edges of type t.
-    Otherwise the zero-sum uses a second-order expansion of log(1-p) with
-    the full-matrix moment sums scaled to the mapped pair universe,
-    corrected by an exact sum over the edge pairs.
-
     `_summary` is _mstep_summary(a_full, mapping, model), passed in by
-    ascend_theta so that it is built once per M-step.
+    ascend_theta so that it is built, and the inputs checked, once per
+    M-step. Its form picks the path. On the exact tally, p depends only on
+    the pair's type t (the multiset of digit pairs of sigma(u), sigma(v)):
+        sum_t E_t * log p_t + (A_t - E_t) * log(1 - p_t)
+    over the occupied types, with A_t pairs and E_t edges of type t. On the
+    series path the zero-sum is -(S1 + S2/2), S_j the closed-form
+    off-diagonal sum of (theta^k)**j scaled by rho, corrected by an exact
+    sum over the edge pairs.
     """
-    if len(mapping) != a_full.n:
-        raise ValueError("mapping length must equal node count")
-    if model.num_indices < a_full.n:
-        raise ValueError("model index space too small for graph")
-    n = a_full.n
-    if n <= 1:
+    summary = _mstep_summary(a_full, mapping, model) if _summary is None else _summary
+    if summary is None:
         return 0.0
-    if _summary is None:
-        _summary = _mstep_summary(a_full, mapping, model)
-
-    if model.num_indices <= EXACT_PAIR_LIMIT:
-        entries, pairs, edges = _summary
-        p = model.theta.ravel()[entries].prod(axis=1)
+    th, k = model.theta, model.k
+    if len(summary) == 3:
+        entries, pairs, edges = summary
+        p = th.ravel()[entries].prod(axis=1)
         return float(np.sum(edges * np.log(p) + (pairs - edges) * np.log1p(-p)))
-
-    edge_codes = _summary
-    if edge_codes.size:
-        pe = np.multiply.reduce(model.theta.ravel()[edge_codes], axis=0)
-        edge_log = float(np.sum(np.log(pe)))
-        edge_taylor = float(np.sum(pe + 0.5 * pe**2))
-    else:
-        edge_log = 0.0
-        edge_taylor = 0.0
-    s1, s2 = _mapped_moment_sums(model, n)
+    edge_codes, rho = summary
+    pe = np.multiply.reduce(th.ravel()[edge_codes], axis=0)
+    edge_log = float(np.sum(np.log(pe)))
+    edge_taylor = float(np.sum(pe + 0.5 * pe**2))
+    s1 = rho * ((th.sum() ** k - np.trace(th) ** k) / 2.0)
+    s2 = rho * (((th**2).sum() ** k - np.trace(th**2) ** k) / 2.0)
     zero_sum = -(s1 + 0.5 * s2) + edge_taylor
     return edge_log + zero_sum
-
-
-def _mapped_moment_sums(model: KroneckerModel, n: int) -> tuple[float, float]:
-    """First and second moment sums of theta^k over the mapped pair universe.
-
-    The full-matrix off-diagonal sums have closed forms; they are scaled
-    by the fraction of index pairs actually occupied by mapped nodes.
-    """
-    nk = model.num_indices
-    rho = _pair_count(n) / _pair_count(nk)
-    th = model.theta
-    s1_full = (th.sum() ** model.k - np.trace(th) ** model.k) / 2.0
-    s2_full = ((th**2).sum() ** model.k - np.trace(th**2) ** model.k) / 2.0
-    return rho * s1_full, rho * s2_full
 
 
 def kron_ll_gradient(a_full, mapping: NodeMapping, model: KroneckerModel, *, _summary=None) -> np.ndarray:
     """Gradient of kron_log_likelihood w.r.t. each theta entry (raw,
     unsymmetrized, matching the u < v pair orientation). `_summary` is as
     in kron_log_likelihood."""
-    n = a_full.n
-    th = model.theta
-    n0, k = model.n0, model.k
-    grad = np.zeros_like(th)
-    if n <= 1:
-        return grad
-    if _summary is None:
-        _summary = _mstep_summary(a_full, mapping, model)
-
-    if model.num_indices <= EXACT_PAIR_LIMIT:
-        entries, pairs, edges = _summary
+    summary = _mstep_summary(a_full, mapping, model) if _summary is None else _summary
+    th, n0, k = model.theta, model.n0, model.k
+    if summary is None:
+        return np.zeros_like(th)
+    if len(summary) == 3:
+        entries, pairs, edges = summary
         p = th.ravel()[entries].prod(axis=1)
         # Per-type weight on d log(p)/d theta: 1 per edge, -p/(1-p) per non-edge.
         w = edges - (pairs - edges) * p / (1.0 - p)
         grad = np.bincount(entries.ravel(), weights=np.repeat(w, k), minlength=n0 * n0)
         return grad.reshape(n0, n0) / th
-
-    edge_codes = _summary
-    if edge_codes.size:
-        pe = np.multiply.reduce(th.ravel()[edge_codes], axis=0)
-        # Edge terms: d/dtheta_ij [log p + p + p^2/2] = (1 + p + p^2) c_ij / theta_ij.
-        we = 1.0 + pe + pe**2
-        grad = np.bincount(edge_codes.ravel(), weights=np.tile(we, k), minlength=n0 * n0)
-        grad = grad.reshape(n0, n0) / th
+    edge_codes, rho = summary
+    pe = np.multiply.reduce(th.ravel()[edge_codes], axis=0)
+    # Edge terms: d/dtheta_ij [log p + p + p^2/2] = (1 + p + p^2) c_ij / theta_ij.
+    we = 1.0 + pe + pe**2
+    grad = np.bincount(edge_codes.ravel(), weights=np.tile(we, k), minlength=n0 * n0)
+    grad = grad.reshape(n0, n0) / th
     # Approximated zero-sum: -(rho * (S1_full + S2_full / 2)).
-    nk = model.num_indices
-    rho = _pair_count(n) / _pair_count(nk)
     s1_grad = (k * th.sum() ** (k - 1)) * np.ones_like(th)
     s1_grad -= np.diag(np.full(n0, k * np.trace(th) ** (k - 1)))
     s2_grad = (k * (th**2).sum() ** (k - 1)) * 2.0 * th
@@ -404,17 +379,16 @@ def ascend_theta(
         g = kron_ll_gradient(a_full, mapping, replace(model, theta=theta), _summary=summary)
         g = _symmetrize(g)
         step = learning_rate
-        accepted = False
         for _ in range(20):
             cand = _clamp(theta + step * g)
             cand_ll = kron_log_likelihood(
                 a_full, mapping, replace(model, theta=cand), _summary=summary
             )
             if cand_ll >= cur - _MONOTONE_TOL:
-                theta, cur, accepted = cand, cand_ll, True
+                theta, cur = cand, cand_ll
                 break
             step /= 2.0
-        if not accepted:
+        else:
             break
     return replace(model, theta=_symmetrize(theta))
 

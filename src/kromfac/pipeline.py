@@ -28,6 +28,7 @@ AUTO = "auto"
 _SEED_EM = 1
 _SEED_REALIZE = 2
 _SEED_THETA_INIT = 3
+_SEED_SAMPLE = 50  # the sampler of `kromfac experiment`
 _SEED_DETECT_BASE = 100
 
 
@@ -56,8 +57,10 @@ class KromfacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 0 or self.c < 1:
-            raise ValueError("need m >= 0 and c >= 1")
+        if self.m < 0:
+            raise ValueError(f"m must be >= 0, got {self.m}")
+        if self.c < 1:
+            raise ValueError(f"c must be >= 1, got {self.c}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lambda_coef < math.inf:

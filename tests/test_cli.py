@@ -45,7 +45,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--em-iters", "0"), ("--grad-steps", "-1"), ("--max-iters", "0"),
-        ("--n0", "1"), ("--mcmc-samples", "-1"),
+        ("--n0", "1"), ("--mcmc-samples", "-1"), ("--missing", "-1"), ("--communities", "0"),
     ])
     def test_rejects_bad_count(self, tmp_path, capsys, flag, value):
         edges = two_cliques_file(tmp_path)

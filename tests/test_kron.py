@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,41 @@ class TestGradient:
                     - kron_log_likelihood(g, mapping, KroneckerModel(2, tm, 6))
                 ) / (2 * h)
                 assert grad[i, j] == pytest.approx(fd, rel=1e-5)
+
+    def test_approximate_path_on_an_edgeless_graph(self, monkeypatch):
+        # No edges: the series path's edge reductions are empty, and the
+        # values are those of the zero-sum alone, pinned bit for bit.
+        monkeypatch.setattr(kron_mod, "EXACT_PAIR_LIMIT", 1)
+        rng = np.random.default_rng(8)
+        n = 40
+        model = KroneckerModel(2, THETA, 6)
+        mapping = NodeMapping(rng.choice(64, size=n, replace=False))
+        g = Graph(n, [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll = kron_log_likelihood(g, mapping, model)
+            grad = kron_ll_gradient(g, mapping, model)
+        assert math.isfinite(ll) and np.all(np.isfinite(grad))
+        assert ll == float.fromhex("-0x1.60869e38fe2f5p+4")
+        expect = ["-0x1.ef7526e978d4cp+5", "-0x1.f7859e0c0dcefp+5",
+                  "-0x1.f7859e0c0dcefp+5", "-0x1.d4c873dbb89c9p+5"]
+        assert grad.ravel().tolist() == [float.fromhex(h) for h in expect]
+
+    @pytest.mark.parametrize(
+        "positions, k, message",
+        [
+            (6, 3, "mapping length must equal node count"),
+            (4, 3, "mapping length must equal node count"),
+            (5, 2, "model index space too small for graph"),
+        ],
+    )
+    def test_rejects_what_the_likelihood_rejects(self, positions, k, message):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        mapping = NodeMapping(np.arange(positions))
+        model = KroneckerModel(2, THETA, k)
+        for evaluate in (kron_log_likelihood, kron_ll_gradient):
+            with pytest.raises(ValueError, match=message):
+                evaluate(g, mapping, model)
 
 
 class TestAscendTheta:

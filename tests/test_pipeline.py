@@ -114,6 +114,14 @@ class TestKromfac:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             KromfacConfig(m=1, c=1, seed=-1)
 
+    @pytest.mark.parametrize("m, c, message", [
+        (-1, 1, r"^m must be >= 0, got -1$"),
+        (1, 0, r"^c must be >= 1, got 0$"),
+    ])
+    def test_rejects_bad_counts_by_name(self, m, c, message):
+        with pytest.raises(ValueError, match=message):
+            KromfacConfig(m=m, c=c)
+
     def test_h_zero_flags_degenerate_trace(self):
         g = two_cliques()
         _, trace = kromfac(g, small_cfg(0, 2, seed=8))
