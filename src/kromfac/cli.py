@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="NMI between two cover files")
     p.add_argument("--pred", required=True, help="predicted cover file")
     p.add_argument("--truth", required=True, help="ground-truth cover file")
-    p.add_argument("--universe", type=int, default=None,
+    p.add_argument("--universe", type=_count(0), default=None,
                    help="node-universe size (default: max id + 1 across both covers; "
                         "with non-integer labels, the number of distinct labels)")
     p.add_argument("-v", "--verbose", action="store_true")

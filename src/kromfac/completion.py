@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .graph import Graph, neighbour_arrays, unique_pairs
-from .kron import KroneckerModel, NodeMapping, sample_missing_block
+from .kron import KroneckerModel, NodeMapping, _check_placement, sample_missing_block
 
 
 def _edge_rows(pairs: np.ndarray | Iterable[tuple[int, int]], n: int) -> np.ndarray:
@@ -85,23 +85,6 @@ class RecoveredGraph:
             for u, v in rows.tolist():
                 sink.write(f"{u} {v}\n")
 
-    @classmethod
-    def read(cls, source, n_observed: int, m: int) -> "RecoveredGraph":
-        sections: dict[str, list[tuple[int, int]]] = {"#BASE": [], "#Z1": [], "#Z2": []}
-        section = None
-        for raw in source:
-            line = raw.strip()
-            if not line:
-                continue
-            if line in sections:
-                section = sections[line]
-                continue
-            if section is None:
-                raise ValueError("edge line before a section header")
-            u, v = (int(t) for t in line.split())
-            section.append((u, v))
-        return cls(Graph(n_observed, sections["#BASE"]), m, sections["#Z1"], sections["#Z2"])
-
 
 def realize_missing(
     g_obs: Graph,
@@ -116,16 +99,13 @@ def realize_missing(
     the M missing positions is drawn with probability
     kron_entry(model, sigma(u), sigma(v)). Pairs are enumerated row-major
     (by sample_missing_block, the sampler the E-step uses) so
-    realizations are reproducible per seed.
+    realizations are reproducible per seed. The N + m positions are first
+    checked by kron's _check_placement (mapping length, index space, every
+    index in [0, n0^k)), for m = 0 too.
     """
-    n = g_obs.n + m
-    if len(mapping) != n:
-        raise ValueError("mapping must cover N + m positions")
-    sigma = mapping.sigma
-    if m and not (0 <= sigma.min() and sigma.max() < model.num_indices):
-        raise ValueError(f"index out of range for n0^k={model.num_indices}")
+    _check_placement(g_obs.n + m, mapping, model)
     rng = np.random.default_rng(seed)
-    us, vs = sample_missing_block(model, sigma, g_obs.n, rng)
+    us, vs = sample_missing_block(model, mapping.sigma, g_obs.n, rng)
     pairs = np.column_stack([us, vs])
     observed = us < g_obs.n
     return RecoveredGraph(base=g_obs, m=m, z1=pairs[observed], z2=pairs[~observed])

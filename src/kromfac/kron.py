@@ -259,22 +259,34 @@ def _pair_types(a_full, sigma: np.ndarray, n0: int, k: int) -> tuple[np.ndarray,
     return entries, pairs, edges
 
 
+def _check_placement(n: int, mapping: NodeMapping, model: KroneckerModel) -> None:
+    """The one check that `mapping` places n nodes in the model's index
+    space: one index per node, at least n indices, and every index in
+    [0, n0^k). Each rule raises ValueError, in that order."""
+    nk = model.num_indices
+    if len(mapping) != n:
+        raise ValueError("mapping length must equal node count")
+    if nk < n:
+        raise ValueError("model index space too small for graph")
+    sigma = mapping.sigma
+    if n and not (0 <= sigma.min() and sigma.max() < nk):
+        raise ValueError(f"index out of range for n0^k={nk}")
+
+
 def _mstep_summary(a_full, mapping: NodeMapping, model: KroneckerModel):
     """The theta-independent part of the likelihood of one graph and
     placement, and the one place that picks the likelihood's path.
 
-    Checks the mapping length and the index space first. Then returns None
-    when n <= 1; up to EXACT_PAIR_LIMIT indices, the exact path's tally
+    First checks the placement with _check_placement: mapping length,
+    index space, then every index in [0, n0^k). Then returns None when
+    n <= 1; up to EXACT_PAIR_LIMIT indices, the exact path's tally
     (entries, pairs, edges) of _pair_types; above it, the series path's
     (edge_codes, rho): the flat theta index a*n0 + b of the digit pair of
     every edge u < v and digit d (k x edges), and the share rho of the
     index pairs that the mapped nodes occupy.
     """
     n, nk = a_full.n, model.num_indices
-    if len(mapping) != n:
-        raise ValueError("mapping length must equal node count")
-    if nk < n:
-        raise ValueError("model index space too small for graph")
+    _check_placement(n, mapping, model)
     if n <= 1:
         return None
     n0, k, sigma = model.n0, model.k, mapping.sigma
@@ -292,9 +304,11 @@ def kron_log_likelihood(a_full, mapping: NodeMapping, model: KroneckerModel, *, 
         a_uv * log p + (1 - a_uv) * log(1 - p),  p = [theta^k]_{sigma(u), sigma(v)}.
 
     `_summary` is _mstep_summary(a_full, mapping, model), passed in by
-    ascend_theta so that it is built, and the inputs checked, once per
-    M-step. Its form picks the path. On the exact tally, p depends only on
-    the pair's type t (the multiset of digit pairs of sigma(u), sigma(v)):
+    ascend_theta so that it is built, and the placement checked, once per
+    M-step; without it, _check_placement (mapping length, index space,
+    every index in [0, n0^k)) runs here. The summary's form picks the
+    path. On the exact tally, p depends only on the pair's type t (the
+    multiset of digit pairs of sigma(u), sigma(v)):
         sum_t E_t * log p_t + (A_t - E_t) * log(1 - p_t)
     over the occupied types, with A_t pairs and E_t edges of type t. On the
     series path the zero-sum is -(S1 + S2/2), S_j the closed-form

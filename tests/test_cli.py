@@ -307,8 +307,8 @@ class TestComplete:
         assert (out / "recovered.txt").read_text() == buf.getvalue()
 
 
-# sha256 of the files that `complete` and `sample` write for the two
-# 5-cliques of test_cli_determinism with seed 3 and its fast EM flags.
+# sha256 of the files that each subcommand but `eval` writes for the two
+# 5-cliques of test_cli_determinism with seed 3 and its fast flags.
 # `sample` draws no floats; `complete` rests on the same exact-sigma
 # stability as test_golden_fit. A change to these values changes a CLI
 # artefact: update them only together with a note on why the bytes moved.
@@ -316,6 +316,13 @@ class TestComplete:
 # per proposal, which forked the EM stream (the recovered block is now
 # empty for this input and seed).
 GOLDEN_ARTEFACTS = {
+    # Both baselines run the one-candidate search.
+    "baseline1": {
+        "cover.txt": "6b48750859227d4ac559a6fd94e7ee6d8277087fd0df0556411563eda9b66c3b",
+    },
+    "baseline2": {
+        "cover.txt": "9f4a570b65a4f21b56c564547804cd4065c12c568b517dbeecbaf084ad2187cb",
+    },
     "complete": {
         "recovered.txt": "c7fe1922bffe3b100207e1460fbf832f46339d303b28b335cd109f0368a893a1",
         "mapping.json": "e84fd50011cecdbe66369d8e9caa3893d4202d3352106789c9110949d9f02548",
@@ -330,6 +337,10 @@ GOLDEN_ARTEFACTS = {
         "cover.txt": "9f4a570b65a4f21b56c564547804cd4065c12c568b517dbeecbaf084ad2187cb",
         "trace.json": "6c9d2f646a137c762d33b146c7e40aea1664c3d2d78029a4095d1fa686a4b95b",
     },
+    "experiment": {
+        "report.json": "73cb57a2f8d2a619c5e02ce3345487a945b7703490957cb8eb98e17e53de3504",
+        "curves.csv": "98017ba7a455da1203d1e6a882aa06206db63eaf16fcc4f2615a73ff24f1dfb4",
+    },
 }
 
 
@@ -337,11 +348,19 @@ class TestGoldenArtefacts:
     @pytest.mark.parametrize("command", sorted(GOLDEN_ARTEFACTS))
     def test_sha256(self, tmp_path, command):
         edges = two_cliques_file(tmp_path, size=5)
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0 1 2 3 4\n5 6 7 8 9\n", encoding="utf-8")
         args = {
+            "baseline1": ["baseline1", "--communities", "2", *FAST_DETECT],
+            "baseline2": ["baseline2", "--communities", "2", "--missing", "3", *FAST_EM, *FAST_DETECT],
             "complete": ["complete", "--missing", "2", *FAST_EM],
             "sample": ["sample", "--strategy", "ff", "--fraction", "0.6"],
             "detect": [
                 "detect", "--communities", "2", "--missing", "3", "--epsilon", "0.5",
+                *FAST_EM, *FAST_DETECT,
+            ],
+            "experiment": [
+                "experiment", "--communities", "2", "--truth", str(truth), "--fraction", "0.8",
                 *FAST_EM, *FAST_DETECT,
             ],
         }[command]
@@ -377,6 +396,15 @@ class TestEval:
         score = float(out.strip().split("nmi=")[1])
         assert 0.0 <= score <= 1.0
 
+
+    @pytest.mark.parametrize("labels", ["0 1\n", "a b\n"], ids=["integer", "string"])
+    def test_rejects_negative_universe(self, tmp_path, capsys, labels):
+        cover = tmp_path / "cover.txt"
+        cover.write_text(labels, encoding="utf-8")
+        code = run_command(["eval", "--pred", str(cover), "--truth", str(cover), "--universe", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == "kromfac eval: error: argument --universe: must be >= 0, got -1"
 
     def eval_out(self, capsys, pred, truth, *extra):
         assert run_command(["eval", "--pred", str(pred), "--truth", str(truth), *extra]) == 0

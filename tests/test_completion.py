@@ -69,6 +69,14 @@ class TestRealizeMissing:
         with pytest.raises(ValueError, match="out of range"):
             realize_missing(path_graph(5), model, bad, 1, seed=0)
 
+    @pytest.mark.parametrize("last", [100, -4])
+    @pytest.mark.parametrize("n_obs, m", [(5, 0), (4, 1)])
+    def test_index_out_of_range_rejected_for_every_m(self, n_obs, m, last):
+        model = KroneckerModel(2, np.array([[0.9, 0.6], [0.6, 0.2]]), 3)
+        bad = NodeMapping(sigma=np.array([0, 1, 2, 3, last]))
+        with pytest.raises(ValueError, match="index out of range"):
+            realize_missing(path_graph(n_obs), model, bad, m, seed=0)
+
     def test_deterministic_per_seed(self):
         model = KroneckerModel(2, THETA, 3)
         g = path_graph(5)
@@ -172,32 +180,11 @@ class TestPrefixProperty:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        rg = RecoveredGraph(
-            base=Graph(3, [(0, 1), (1, 2)]),
-            m=2,
-            z1=frozenset({(0, 3), (2, 4)}),
-            z2=frozenset({(3, 4)}),
-        )
-        buf = io.StringIO()
-        rg.write(buf)
-        back = RecoveredGraph.read(io.StringIO(buf.getvalue()), n_observed=3, m=2)
-        assert back.base == rg.base
-        assert back == rg
-
     def test_write_lists_each_block_sorted(self):
         rg = RecoveredGraph(Graph(3, [(2, 1), (0, 1)]), 3, [(2, 4), (0, 5), (0, 3)], [(5, 3), (4, 3)])
         buf = io.StringIO()
         rg.write(buf)
         assert buf.getvalue() == "#BASE\n0 1\n1 2\n#Z1\n0 3\n0 5\n2 4\n#Z2\n3 4\n3 5\n"
-
-    @given(recovered_graphs())
-    def test_write_read_round_trip(self, case):
-        rg, _ = case
-        buf = io.StringIO()
-        rg.write(buf)
-        back = RecoveredGraph.read(io.StringIO(buf.getvalue()), n_observed=rg.base.n, m=rg.m)
-        assert back == rg
 
 
 class TestBlockArrays:
@@ -237,14 +224,6 @@ class TestBlockArrays:
     def test_rejects_edges_outside_their_block(self, z1, z2, block):
         with pytest.raises(ValueError, match=f"a {block} edge must join"):
             RecoveredGraph(Graph(3, []), 2, z1, z2)
-
-    @pytest.mark.parametrize("section, row", [("#Z1", "0 2"), ("#Z2", "3 3")])
-    def test_read_rejects_rows_outside_their_block(self, section, row):
-        # N = 3, M = 1: a #Z1 row between observed nodes would add an
-        # observed edge, and a #Z2 row must join two recovered nodes.
-        text = f"#BASE\n0 1\n{section}\n{row}\n"
-        with pytest.raises(ValueError, match=f"a {section[1:]} edge must join"):
-            RecoveredGraph.read(io.StringIO(text), n_observed=3, m=1)
 
     @pytest.mark.parametrize("change", ["base", "m", "z1", "z2"])
     def test_unequal_when_any_field_differs(self, change):

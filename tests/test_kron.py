@@ -444,6 +444,21 @@ class TestValidation:
             EmConfig(mcmc_samples=-1)
         assert EmConfig(mcmc_samples=0).mcmc_samples == 0
 
+    @pytest.mark.parametrize("last", [100, -4])
+    def test_index_out_of_range_rejected(self, last):
+        # index_digits keeps only the low k digits, so an unchecked index
+        # would wrap to a valid one and give the in-range likelihood.
+        g = Graph(5, [(i, i + 1) for i in range(4)])
+        model = KroneckerModel(2, np.array([[0.9, 0.6], [0.6, 0.2]]), 3)
+        assert kron_log_likelihood(g, identity_mapping(5), model) == -8.226699123700932
+        bad = NodeMapping(np.array([0, 1, 2, 3, last]))
+        message = r"index out of range for n0\^k=8"
+        for evaluate in (kron_log_likelihood, kron_ll_gradient):
+            with pytest.raises(ValueError, match=message):
+                evaluate(g, bad, model)
+        with pytest.raises(ValueError, match=message):
+            ascend_theta(g, bad, model, steps=3, learning_rate=1e-4)
+
 
 class TestKronemFit:
     def test_noop_m_step_keeps_theta(self):
