@@ -16,9 +16,7 @@ from .community import Cover, DetectConfig
 from .evaluation import SampleSpec, ff_sample, nmi, rn_sample, run_experiment
 from .graph import NodeIdMap, load_edge_list, write_edge_list
 from .kron import EmConfig
-from .pipeline import (
-    _SEED_SAMPLE, AUTO, KromfacConfig, baseline1, baseline2, complete, detect_seed, kromfac, subseed,
-)
+from .pipeline import AUTO, KromfacConfig, baseline1, baseline2, complete, detect_seed, kromfac
 
 
 def _threshold(value: str) -> float | str:
@@ -183,6 +181,11 @@ def _kromfac_config(args, m: int, seed: int) -> KromfacConfig:
     )
 
 
+def _sample_spec(args) -> SampleSpec:
+    """Sampler settings from the flags; the seed is passed to the sampler."""
+    return SampleSpec(strategy=args.strategy, fraction=args.fraction, p_forward=args.p_forward)
+
+
 def _write(out_dir: Path, name: str, text: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -256,10 +259,7 @@ def _cmd_complete(args) -> int:
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     g, id_map = _load_graph(args.edges)
-    spec = SampleSpec(
-        strategy=args.strategy, fraction=args.fraction, p_forward=args.p_forward, seed=seed
-    )
-    sub, kept = (rn_sample if args.strategy == "rn" else ff_sample)(g, spec)
+    sub, kept = (rn_sample if args.strategy == "rn" else ff_sample)(g, _sample_spec(args), seed)
     out = Path(args.out)
     kept_sorted = sorted(kept)
     buf = io.StringIO()
@@ -316,14 +316,8 @@ def _cmd_experiment(args) -> int:
             truth = Cover.read(f, id_map=id_map, universe=g.n)
         except KeyError as exc:
             raise ValueError(f"truth label '{exc.args[0]}' not in the edge list") from None
-    spec = SampleSpec(
-        strategy=args.strategy,
-        fraction=args.fraction,
-        p_forward=args.p_forward,
-        seed=subseed(seed, _SEED_SAMPLE),
-    )
     # m=0 is a placeholder: run_experiment sets m to the sampler's deletion count.
-    report = run_experiment(g, truth, spec, _kromfac_config(args, 0, seed))
+    report = run_experiment(g, truth, _sample_spec(args), _kromfac_config(args, 0, seed))
     out = Path(args.out)
     _write(out, "report.json", report.to_json() + "\n")
     rows = ["i,loss,reg_loss"]
@@ -360,7 +354,7 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,22 +28,20 @@ DELTA_FLOOR = 1e-6
 # float on every ufunc call, which costs more than the call's arithmetic
 # on these small operands. Same values, so the same bits.
 _DOT_FLOOR, _ZERO, _ONE = np.array(DOT_FLOOR), np.array(0.0), np.array(1.0)
+# The line search's first step; its trials are STEP_INIT / 2**j, j < 10.
+STEP_INIT = 0.05
 
 
 @dataclass(frozen=True)
 class DetectConfig:
     eta_detect: float | None = None  # None -> 1e-4 * (1 + |loss|) per pass
     max_iters: int = 200
-    step_init: float = 0.05
 
     def __post_init__(self):
-        # The range tests also reject NaN (never converges as eta_detect,
-        # freezes every row as step_init) and inf (stops after one pass as
-        # eta_detect, overflows every trial and freezes the rows as step_init).
+        # The range test also rejects NaN (never converges) and inf (stops
+        # after one pass).
         if self.eta_detect is not None and not 0 < self.eta_detect < math.inf:
             raise ValueError(f"eta_detect must be positive and finite, got {self.eta_detect}")
-        if not 0 < self.step_init < math.inf:
-            raise ValueError(f"step_init must be positive and finite, got {self.step_init}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -140,37 +138,32 @@ def _loss_runs(sizes: Sequence[int], eu: np.ndarray, ev: np.ndarray, c: int) -> 
 def _log_likelihoods(f: np.ndarray, sizes: Sequence[int], runs: list[tuple]) -> list[float]:
     """agm_log_likelihood of each candidate j of the node-major stack f
     (f[u, j] is row u of candidate j) on its first sizes[j] rows, read as
-    `_loss_runs` lays out, one run at a time."""
-    return [ll for run in runs for ll in _run_log_likelihoods(f, sizes, run)]
+    `_loss_runs` lays out, one run (j0, j1, iu, iv, ends) at a time.
 
-
-def _run_log_likelihoods(f: np.ndarray, sizes: Sequence[int], run: tuple) -> list[float]:
-    """The log-likelihoods of one run (j0, j1, iu, iv, ends) of candidates.
-
-    The run shares one gather, one einsum, one _log1mexp and one copy of
-    its rows in candidate order. Each candidate then takes only
-    np.add.reduce calls, over its own contiguous slices of the run's
-    arrays: the same elements in the same order as an evaluation of that
-    candidate alone, so the same bits. Its arrays are freed on return,
-    before the next run gathers."""
-    j0, j1, iu, iv, ends = run
+    A run shares one gather, one einsum, one _log1mexp and one copy of its
+    rows in candidate order. Each candidate then takes only np.add.reduce
+    calls, over its own contiguous slices of the run's arrays: the same
+    elements in the same order as an evaluation of that candidate alone,
+    so the same bits. A run's arrays are freed before the next run gathers."""
     flat = f.reshape(-1, f.shape[-1])
-    edge_dots = np.einsum("ij,ij->i", flat.take(iu, axis=0), flat.take(iv, axis=0))
-    edge_logs = _log1mexp(edge_dots)
-    own = f[:sizes[j1 - 1], j0:j1].swapaxes(0, 1).copy()
-    squares = np.square(own)
-    run_sizes = sizes[j0:j1]
-    totals = np.empty((j1 - j0, f.shape[-1]))
-    for r, n in enumerate(run_sizes):
-        np.add.reduce(own[r, :n], axis=0, out=totals[r])
-    total_sq = np.vecdot(totals, totals).tolist()
     out = []
-    for r, n in enumerate(run_sizes):
-        lo, hi = ends[r], ends[r + 1]
-        edge_term = float(np.add.reduce(edge_logs[lo:hi]))
-        all_pairs = (total_sq[r] - float(np.add.reduce(squares[r, :n], axis=None))) / 2.0
-        nonedge_sum = all_pairs - float(np.add.reduce(edge_dots[lo:hi]))
-        out.append(edge_term - nonedge_sum)
+    for j0, j1, iu, iv, ends in runs:
+        edge_dots = np.einsum("ij,ij->i", flat.take(iu, axis=0), flat.take(iv, axis=0))
+        edge_logs = _log1mexp(edge_dots)
+        own = f[:sizes[j1 - 1], j0:j1].swapaxes(0, 1).copy()
+        squares = np.square(own)
+        run_sizes = sizes[j0:j1]
+        totals = np.empty((j1 - j0, f.shape[-1]))
+        for r, n in enumerate(run_sizes):
+            np.add.reduce(own[r, :n], axis=0, out=totals[r])
+        total_sq = np.vecdot(totals, totals).tolist()
+        for r, n in enumerate(run_sizes):
+            lo, hi = ends[r], ends[r + 1]
+            edge_term = float(np.add.reduce(edge_logs[lo:hi]))
+            all_pairs = (total_sq[r] - float(np.add.reduce(squares[r, :n], axis=None))) / 2.0
+            nonedge_sum = all_pairs - float(np.add.reduce(edge_dots[lo:hi]))
+            out.append(edge_term - nonedge_sum)
+        del edge_dots, edge_logs, own, squares
     return out
 
 
@@ -260,7 +253,7 @@ def commun_det(
 
     Rows update in ascending node order. Each row step is a projected
     (F >= 0) gradient step on the row's local objective with a line search
-    over step_init, step_init / 2, ..., step_init / 2**9: the 10 trial
+    over STEP_INIT, STEP_INIT / 2, ..., STEP_INIT / 2**9: the 10 trial
     points and, last, the row itself are evaluated together in one matrix
     product, and the first trial that does not lower the objective is
     taken (none: the row stays). That is the step sequential backtracking
@@ -320,7 +313,7 @@ def commun_det_prefixes(
     live_sizes, runs = sizes, _loss_runs(sizes, eu, ev, c)
     prev = [-ll for ll in _log_likelihoods(f, sizes, runs)]
     # The halvings, then the row itself (step 0).
-    steps = np.append(np.ldexp(cfg.step_init, -np.arange(10)), 0.0)[:, None]
+    steps = np.append(np.ldexp(STEP_INIT, -np.arange(10)), 0.0)[:, None]
     # last[u] is u's largest neighbour, -1 without any.
     last = np.full(g.n, -1, dtype=np.intp)
     has_nbr = indptr[1:] > indptr[:-1]

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .graph import Graph, neighbour_arrays, unique_pairs
+from .graph import Graph, neighbour_arrays, relabelled, unique_pairs
 from .kron import KroneckerModel, NodeMapping, _check_placement, sample_missing_block
 
 
@@ -135,10 +135,6 @@ def as_graph(rg: RecoveredGraph, i: int, order: Sequence[int] | None = None) -> 
     new_id = np.full(n + rg.m, -1, dtype=np.intp)
     new_id[:n] = np.arange(n)
     new_id[np.array(chosen, dtype=np.intp)] = np.arange(n, n + i)
-    ru, rv = (new_id[x] for x in rg.block_edges())
-    inside = (ru >= 0) & (rv >= 0)
-    ru, rv = ru[inside], rv[inside]
+    ru, rv = rg.block_edges()
     eu, ev = neighbour_arrays(rg.base)[2:]
-    eu = np.concatenate([eu, np.minimum(ru, rv)])
-    ev = np.concatenate([ev, np.maximum(ru, rv)])
-    return Graph.from_arrays(n + i, eu, ev)
+    return relabelled(n + i, new_id, np.concatenate([eu, ru]), np.concatenate([ev, rv]))

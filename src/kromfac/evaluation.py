@@ -16,7 +16,9 @@ import numpy as np
 
 from .community import Cover, hard_decision
 from .graph import Graph, bernoulli_pairs, induced_subgraph, neighbour_arrays
-from .pipeline import KromfacConfig, SearchTrace, baseline1, baseline2, complete, detect_seed, kromfac
+from .pipeline import (
+    KromfacConfig, SearchTrace, baseline1, baseline2, complete, detect_seed, kromfac, sample_seed,
+)
 
 PLANTED_DELTA = 0.5
 
@@ -26,7 +28,6 @@ class SampleSpec:
     strategy: str  # "rn" or "ff"
     fraction: float = 0.7
     p_forward: float = 0.7
-    seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in ("rn", "ff"):
@@ -95,26 +96,26 @@ def nmi(x: Cover, y: Cover) -> float:
     return min(max(score, 0.0), 1.0)
 
 
-def rn_sample(g: Graph, spec: SampleSpec) -> tuple[Graph, set[int]]:
-    """Keep ceil(fraction * n) nodes chosen uniformly without replacement."""
+def rn_sample(g: Graph, spec: SampleSpec, seed: int = 0) -> tuple[Graph, set[int]]:
+    """Keep ceil(fraction * n) nodes drawn from `seed` uniformly without replacement."""
     if spec.strategy != "rn":
         raise ValueError("spec.strategy must be 'rn'")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     target = math.ceil(spec.fraction * g.n)
     kept = set(rng.choice(g.n, size=target, replace=False).tolist())
     sub, _ = induced_subgraph(g, kept)
     return sub, kept
 
 
-def ff_sample(g: Graph, spec: SampleSpec) -> tuple[Graph, set[int]]:
-    """Forest-fire sampling: burn from uniform unburned seeds until
-    ceil(fraction * n) nodes burn. Each frontier node, first in first out,
-    burns a geometric number (mean 1 / (1 - p_forward)) of its unburned CSR
-    neighbours, chosen uniformly and burned in ascending order.
+def ff_sample(g: Graph, spec: SampleSpec, seed: int = 0) -> tuple[Graph, set[int]]:
+    """Forest-fire sampling, drawn from `seed`: burn from uniform unburned
+    seeds until ceil(fraction * n) nodes burn. Each frontier node, first in
+    first out, burns a geometric number (mean 1 / (1 - p_forward)) of its
+    unburned CSR neighbours, chosen uniformly and burned in ascending order.
     """
     if spec.strategy != "ff":
         raise ValueError("spec.strategy must be 'ff'")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     indptr, indices = neighbour_arrays(g)[:2]
     burned = np.zeros(g.n, dtype=bool)
     left = math.ceil(spec.fraction * g.n)
@@ -211,11 +212,12 @@ def run_experiment(
 ) -> ExperimentReport:
     """Sample the observable graph, run KroMFac and both baselines, and
     score each against the (restricted) ground truth over observed nodes.
-    The Kronecker fit is run once and shared by KroMFac and baseline2."""
+    The Kronecker fit is run once and shared by KroMFac and baseline2. The
+    sampler's seed is `sample_seed(cfg.seed)`."""
     if truth.universe != g_true.n:
         raise ValueError("ground-truth cover must be defined on the dataset's nodes")
     sampler = rn_sample if spec.strategy == "rn" else ff_sample
-    g_obs, kept = sampler(g_true, spec)
+    g_obs, kept = sampler(g_true, spec, sample_seed(cfg.seed))
     m = g_true.n - len(kept)
     truth_obs, notes = restrict_truth(truth, kept)
     cfg = replace(cfg, m=m)
@@ -244,7 +246,7 @@ def run_experiment(
         "baseline2": nmi(truth_obs, cover_b2.restrict(n_obs)),
     }
     echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("em", "detect")}
-    echo["sample"] = asdict(spec)
+    echo["sample"] = {**asdict(spec), "seed": sample_seed(cfg.seed)}
     return ExperimentReport(
         scores=scores,
         trace=trace,

@@ -230,17 +230,23 @@ def write_edge_list(g: Graph, sink: TextIO, id_map: NodeIdMap | None = None) -> 
             sink.write(f"{u} {v}\n")
 
 
+def relabelled(n: int, new_id: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> Graph:
+    """The graph on n nodes with an edge (new_id[eu[j]], new_id[ev[j]]) for
+    each j whose two ends map into [0, n); the other nodes map to -1."""
+    ru, rv = new_id[eu], new_id[ev]
+    inside = (ru >= 0) & (rv >= 0)
+    ru, rv = ru[inside], rv[inside]
+    return Graph.from_arrays(n, np.minimum(ru, rv), np.maximum(ru, rv))
+
+
 def induced_subgraph(g: Graph, keep: set[int]) -> tuple[Graph, NodeIdMap]:
     """Subgraph on `keep`, reindexed densely; the id map records original ids."""
     for u in keep:
         if not (0 <= u < g.n):
             raise ValueError(f"node {u} out of range for n={g.n}")
     kept = sorted(keep)
-    # Original id -> new id: kept nodes in ascending order, the rest -1. The
-    # map is increasing, so each kept edge keeps u < v.
+    # Original id -> new id: kept nodes in ascending order, the rest -1.
     new_id = np.full(g.n, -1, dtype=np.intp)
     new_id[np.array(kept, dtype=np.intp)] = np.arange(len(kept))
-    eu, ev = (new_id[x] for x in neighbour_arrays(g)[2:])
-    inside = (eu >= 0) & (ev >= 0)
     remap = {old: new for new, old in enumerate(kept)}
-    return Graph.from_arrays(len(kept), eu[inside], ev[inside]), NodeIdMap(remap, kept)
+    return relabelled(len(kept), new_id, *neighbour_arrays(g)[2:]), NodeIdMap(remap, kept)

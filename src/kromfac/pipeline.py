@@ -28,7 +28,7 @@ AUTO = "auto"
 _SEED_EM = 1
 _SEED_REALIZE = 2
 _SEED_THETA_INIT = 3
-_SEED_SAMPLE = 50  # the sampler of `kromfac experiment`
+_SEED_SAMPLE = 50  # the sampler of `run_experiment`
 _SEED_DETECT_BASE = 100
 
 
@@ -40,6 +40,11 @@ def subseed(master: int, label: int) -> int:
 def detect_seed(master: int, i: int) -> int:
     """Seed used for the detection run at candidate i."""
     return subseed(master, _SEED_DETECT_BASE + i)
+
+
+def sample_seed(master: int) -> int:
+    """Seed of the sampler that `run_experiment` draws the observed graph with."""
+    return subseed(master, _SEED_SAMPLE)
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ def kromfac(
             best = (reg, i, res)
 
     _, i_hat, res_hat = best
-    cover = hard_decision(res_hat.f, resolve_delta(cfg.delta, g_search, g_obs.n + i_hat))
+    cover = _cover(res_hat.f, cfg.delta, g_search)
     trace = SearchTrace(
         lambda_value=lam,
         h=ranking.h,
@@ -161,6 +166,11 @@ def kromfac(
         i_hat=i_hat,
     )
     return cover, trace
+
+
+def _cover(f: np.ndarray, delta: float | str, g: Graph) -> Cover:
+    """The cover of f, a detection's rows on g's first len(f) nodes, at `delta` resolved on them."""
+    return hard_decision(f, resolve_delta(delta, g, len(f)))
 
 
 def resolve_delta(delta: float | str, g: Graph, n: int | None = None) -> float:
@@ -221,8 +231,7 @@ def baseline1(
     seed: int = 0,
 ) -> Cover:
     """Detection on the observed graph only, seeded by `seed`: no completion or search."""
-    res = commun_det(g_obs, c, detect, seed)
-    return hard_decision(res.f, resolve_delta(delta, g_obs))
+    return _cover(commun_det(g_obs, c, detect, seed).f, delta, g_obs)
 
 
 def baseline2(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None) -> Cover:
@@ -231,4 +240,4 @@ def baseline2(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None
     `rg` is as in `kromfac`."""
     g_full = as_graph(_recovered(g_obs, cfg, rg), cfg.m)
     res = commun_det(g_full, cfg.c, cfg.detect, detect_seed(cfg.seed, cfg.m))
-    return hard_decision(res.f, resolve_delta(cfg.delta, g_full))
+    return _cover(res.f, cfg.delta, g_full)

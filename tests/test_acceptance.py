@@ -224,7 +224,7 @@ def study_seed(seed, n=150, c=3, strength=1.0, overlap=0.3):
     """
     f_true = planted_memberships(n, c, strength, overlap, seed * 977 + 1)
     g_true, truth = agm_generate(f_true, seed=seed * 31 + 5)
-    g_obs, kept = rn_sample(g_true, SampleSpec("rn", fraction=0.7, seed=seed * 13 + 2))
+    g_obs, kept = rn_sample(g_true, SampleSpec("rn", fraction=0.7), seed * 13 + 2)
     truth_obs, _ = restrict_truth(truth, kept)
     cfg = KromfacConfig(
         m=g_true.n - len(kept), c=c, seed=seed, em=STUDY_EM, detect=STUDY_DETECT

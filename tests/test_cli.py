@@ -6,9 +6,11 @@ import pytest
 
 from kromfac import pipeline
 from kromfac.cli import build_parser, run_command
+from kromfac.community import Cover, DetectConfig
+from kromfac.evaluation import SampleSpec, run_experiment
 from kromfac.graph import load_edge_list
 from kromfac.kron import EmConfig
-from kromfac.pipeline import complete
+from kromfac.pipeline import KromfacConfig, complete
 
 FAST_EM = ["--em-iters", "2", "--grad-steps", "4", "--mcmc-samples", "40"]
 FAST_DETECT = ["--max-iters", "40"]
@@ -184,6 +186,20 @@ class TestRuntimeErrors:
         assert run_command(args) == 1
         err = capsys.readouterr().err
         assert err == "error: cannot detect communities on an empty graph (0 nodes)\n"
+
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # A fit too large for memory, such as --n0 20000, whose 20000 x 20000
+        # theta numpy cannot allocate: one error line, no traceback.
+        def oom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (20000, 20000)")
+
+        monkeypatch.setattr(pipeline, "kronem_fit", oom)
+        args = ["complete", "--missing", "2", "--edges", str(two_cliques_file(tmp_path)),
+                "--out", str(tmp_path / "o"), "--seed", "0"]
+        assert run_command(args) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 2.98 GiB for an array with shape (20000, 20000)\n"
+        assert not (tmp_path / "o").exists()
 
     def test_complete_on_empty_edge_list(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pipeline, "kronem_fit", no_fit)
@@ -475,3 +491,27 @@ class TestExperiment:
         assert set(report["scores"]) == {"kromfac", "baseline1", "baseline2"}
         header = (outs[0] / "curves.csv").read_text().splitlines()[0]
         assert header == "i,loss,reg_loss"
+
+    def test_one_seed_per_experiment(self, tmp_path):
+        # The library call with cfg.seed = 3 writes the CLI's bytes for
+        # --seed 3: the sampler's seed is derived from it, not set apart.
+        edges = two_cliques_file(tmp_path, size=5)
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0 1 2 3 4\n5 6 7 8 9\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_command([
+            "experiment", "--edges", str(edges), "--truth", str(truth), "--out", str(out),
+            "--communities", "2", "--seed", "3", "--strategy", "ff", "--fraction", "0.6",
+            *FAST_EM, *FAST_DETECT,
+        ]) == 0
+        with open(edges, encoding="utf-8") as f:
+            g, id_map = load_edge_list(f)
+        with open(truth, encoding="utf-8") as f:
+            cover = Cover.read(f, id_map=id_map, universe=g.n)
+        cfg = KromfacConfig(
+            m=0, c=2, em=EmConfig(em_iters=2, grad_steps=4, mcmc_samples=40),
+            detect=DetectConfig(max_iters=40), seed=3,
+        )
+        report = run_experiment(g, cover, SampleSpec("ff", 0.6), cfg)
+        assert (out / "report.json").read_text(encoding="utf-8") == report.to_json() + "\n"
+        assert report.config["sample"]["seed"] == pipeline.sample_seed(3)

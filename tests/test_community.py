@@ -5,6 +5,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from kromfac import community
 from kromfac.community import (
     DetectConfig,
     DetectResult,
@@ -193,20 +194,21 @@ class TestVectorizedOracle:
     def test_one_pass_matches_scalar_update(self, g):
         for seed in range(3):
             cfg = DetectConfig(max_iters=1)
-            expect = reference_pass(g, init_affiliations(g, 3, seed), cfg.step_init)
+            expect = reference_pass(g, init_affiliations(g, 3, seed), community.STEP_INIT)
             assert rel_err(commun_det(g, 3, cfg, seed).f, expect) <= 1e-10
 
 
-    def test_one_pass_matches_late_and_rejected_line_searches(self):
+    def test_one_pass_matches_late_and_rejected_line_searches(self, monkeypatch):
         # A large first step on a sparse graph with c=2: some rows accept
         # only after 5 or more halvings, others reject all 10 trials.
+        monkeypatch.setattr(community, "STEP_INIT", 10.0)
         g = random_graph(60, 0.1, 82)
         late = rejected = 0
         for seed in range(2):
-            cfg = DetectConfig(max_iters=1, step_init=10.0)
+            cfg = DetectConfig(max_iters=1)
             f0 = init_affiliations(g, 2, seed)
-            expect = reference_pass(g, f0, cfg.step_init)
-            halvings, replayed = line_search_halvings(g, f0, cfg.step_init)
+            expect = reference_pass(g, f0, community.STEP_INIT)
+            halvings, replayed = line_search_halvings(g, f0, community.STEP_INIT)
             assert np.array_equal(replayed, expect)
             late += sum(j is not None and j >= 5 for j in halvings)
             rejected += halvings.count(None)
@@ -561,7 +563,7 @@ def reference_commun_det_prefixes(g, sizes, c, cfg, seeds):
         f[b, :n] = _init_rows(n, int(np.count_nonzero(inside)), c, seed)
         prev.append(-reference_log_likelihood(f[b, :n], *edges[b]))
     total = np.stack([f[b, :n].sum(axis=0) for b, n in enumerate(sizes)])
-    steps = np.concatenate([[0.0], np.ldexp(cfg.step_init, -np.arange(10))])[:, None]
+    steps = np.concatenate([[0.0], np.ldexp(community.STEP_INIT, -np.arange(10))])[:, None]
     last = np.full(g.n, -1, dtype=np.intp)
     has_nbr = indptr[1:] > indptr[:-1]
     last[has_nbr] = indices[indptr[1:][has_nbr] - 1]
@@ -612,30 +614,32 @@ class TestStackedKernelOracle:
 
     @pytest.mark.parametrize("step_init", [0.05, 1.0, 10.0])
     @pytest.mark.parametrize("c", [1, 2, 3])
-    def test_prefix_stacks_match_reference(self, c, step_init):
+    def test_prefix_stacks_match_reference(self, monkeypatch, c, step_init):
+        monkeypatch.setattr(community, "STEP_INIT", step_init)
         rng = np.random.default_rng(100 * c + int(step_init))
         for count in range(1, 6):
             g = hub_graph(int(rng.integers(12, 30)), 0.2, int(rng.integers(1000)))
             cut = sorted(rng.choice(np.arange(2, g.n), size=count - 1, replace=False).tolist())
             sizes = cut + [g.n]  # the largest prefix holds the isolated node
             seeds = rng.integers(0, 1000, size=count).tolist()
-            cfg = DetectConfig(max_iters=30, step_init=step_init)
+            cfg = DetectConfig(max_iters=30)
             self.assert_same(
                 commun_det_prefixes(g, sizes, c, cfg, seeds),
                 reference_commun_det_prefixes(g, sizes, c, cfg, seeds),
             )
 
     @pytest.mark.parametrize("c", [1, 2, 3])
-    def test_one_candidate_matches_reference(self, c):
+    def test_one_candidate_matches_reference(self, monkeypatch, c):
         # c = 1 with one candidate is the shape whose neighbour sums numpy
         # would add pairwise; the hub's row sums the most neighbours.
         g = hub_graph(40, 0.1, 7 + c)
+        cfg = DetectConfig(max_iters=40, eta_detect=1e-12)
         for step_init in (0.05, 1.0, 10.0):
-            cfg = DetectConfig(max_iters=40, step_init=step_init, eta_detect=1e-12)
+            monkeypatch.setattr(community, "STEP_INIT", step_init)
             self.assert_same([commun_det(g, c, cfg, 3)], reference_commun_det_prefixes(g, [g.n], c, cfg, [3]))
 
     @pytest.mark.parametrize("c", [1, 2, 3])
-    def test_one_masked_candidate_matches_reference(self, c):
+    def test_one_masked_candidate_matches_reference(self, monkeypatch, c):
         # One candidate on a prefix that leaves nodes out: the hub's row and
         # the rows of the left-out nodes' neighbours are masked on the
         # one-candidate path, over 200 passes. Near convergence, the floored
@@ -645,8 +649,9 @@ class TestStackedKernelOracle:
         indptr, indices, _, _ = neighbour_arrays(g)
         masked = [u for u in range(n) if indptr[u + 1] > indptr[u] and indices[indptr[u + 1] - 1] >= n]
         assert len(masked) > 1
+        cfg = DetectConfig(max_iters=200, eta_detect=1e-300)
         for step_init in (0.05, 1.0, 10.0):
-            cfg = DetectConfig(max_iters=200, step_init=step_init, eta_detect=1e-300)
+            monkeypatch.setattr(community, "STEP_INIT", step_init)
             self.assert_same(
                 commun_det_prefixes(g, [n], c, cfg, [3]),
                 reference_commun_det_prefixes(g, [n], c, cfg, [3]),
@@ -732,13 +737,6 @@ def test_stacked_loss_memory_is_bounded():
 
 
 class TestDetectConfigValidation:
-    @pytest.mark.parametrize(
-        "value", [-1.0, 0.0, float("nan"), float("inf")], ids=["neg", "zero", "nan", "inf"]
-    )
-    def test_rejects_step_init(self, value):
-        with pytest.raises(ValueError, match="step_init"):
-            DetectConfig(step_init=value)
-
     @pytest.mark.parametrize(
         "value", [-1.0, 0.0, float("nan"), float("inf")], ids=["neg", "zero", "nan", "inf"]
     )

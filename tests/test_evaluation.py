@@ -82,13 +82,13 @@ def ring(n):
 class TestRnSample:
     def test_fraction_one_identity(self):
         g = ring(10)
-        sub, kept = rn_sample(g, SampleSpec("rn", fraction=1.0, seed=0))
+        sub, kept = rn_sample(g, SampleSpec("rn", fraction=1.0), 0)
         assert kept == set(range(10))
         assert sub == g
 
     def test_exact_count(self):
         g = ring(10)
-        sub, kept = rn_sample(g, SampleSpec("rn", fraction=0.7, seed=1))
+        sub, kept = rn_sample(g, SampleSpec("rn", fraction=0.7), 1)
         assert len(kept) == 7 and sub.n == 7
 
     def test_uniformity(self):
@@ -96,7 +96,7 @@ class TestRnSample:
         counts = np.zeros(20)
         trials = 2000
         for s in range(trials):
-            _, kept = rn_sample(g, SampleSpec("rn", fraction=0.7, seed=s))
+            _, kept = rn_sample(g, SampleSpec("rn", fraction=0.7), s)
             for u in kept:
                 counts[u] += 1
         p = 0.7
@@ -104,10 +104,10 @@ class TestRnSample:
         assert np.all(np.abs(counts / trials - p) <= 3 * se)
 
 
-def scalar_ff_sample(g, spec):
+def scalar_ff_sample(g, spec, seed):
     """Forest-fire oracle: the per-node loop over a Python set of burned
     nodes, with the unburned list rebuilt at every restart."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     target = math.ceil(spec.fraction * g.n)
     burned: list[int] = []
     burned_set: set[int] = set()
@@ -154,9 +154,9 @@ class TestFfSample:
         cases = 0
         for gi, g in enumerate(oracle_graphs(rng)):
             for fraction, p_forward in ((0.3, 0.7), (0.6, 0.2), (1.0, 0.5), (0.5, 1 - 1e-12)):
-                spec = SampleSpec("ff", fraction=fraction, p_forward=p_forward, seed=gi)
-                sub, kept = ff_sample(g, spec)
-                ref_sub, ref_kept = scalar_ff_sample(g, spec)
+                spec = SampleSpec("ff", fraction=fraction, p_forward=p_forward)
+                sub, kept = ff_sample(g, spec, gi)
+                ref_sub, ref_kept = scalar_ff_sample(g, spec, gi)
                 assert kept == ref_kept
                 assert sub == ref_sub
                 cases += 1
@@ -164,18 +164,18 @@ class TestFfSample:
 
     def test_fraction_one_keeps_all(self):
         g = ring(12)
-        _, kept = ff_sample(g, SampleSpec("ff", fraction=1.0, p_forward=0.3, seed=0))
+        _, kept = ff_sample(g, SampleSpec("ff", fraction=1.0, p_forward=0.3), 0)
         assert kept == set(range(12))
 
     def test_exact_count(self):
         g = ring(10)
-        sub, kept = ff_sample(g, SampleSpec("ff", fraction=0.7, seed=2))
+        sub, kept = ff_sample(g, SampleSpec("ff", fraction=0.7), 2)
         assert len(kept) == 7 and sub.n == 7
 
     def test_high_burn_probability_floods_component(self):
         g = ring(30)
-        spec = SampleSpec("ff", fraction=0.5, p_forward=1 - 1e-12, seed=3)
-        sub, kept = ff_sample(g, spec)
+        spec = SampleSpec("ff", fraction=0.5, p_forward=1 - 1e-12)
+        sub, kept = ff_sample(g, spec, 3)
         # One seed burns contiguously around the ring: the kept set is connected.
         assert len(kept) == 15
         assert sub.edge_count >= 14
@@ -196,8 +196,8 @@ class TestFfSample:
 
         wins = 0
         for s in range(10):
-            ff_g, ff_kept = ff_sample(g, SampleSpec("ff", fraction=0.3, seed=s))
-            rn_g, rn_kept = rn_sample(g, SampleSpec("rn", fraction=0.3, seed=s))
+            ff_g, ff_kept = ff_sample(g, SampleSpec("ff", fraction=0.3), s)
+            rn_g, rn_kept = rn_sample(g, SampleSpec("rn", fraction=0.3), s)
             assert len(ff_kept) == len(rn_kept)
             if ff_g.edge_count >= rn_g.edge_count:
                 wins += 1
@@ -320,14 +320,14 @@ class TestRunExperiment:
 
     def test_no_deletion_degenerates(self):
         g, truth = self.planted_instance()
-        spec = SampleSpec("rn", fraction=1.0, seed=0)
+        spec = SampleSpec("rn", fraction=1.0)
         report = run_experiment(g, truth, spec, self.make_cfg())
         scores = set(report.scores.values())
         assert len(scores) == 1  # all three methods coincide when M=0
 
     def test_report_json_round_trip(self):
         g, truth = self.planted_instance()
-        spec = SampleSpec("rn", fraction=0.8, seed=1)
+        spec = SampleSpec("rn", fraction=0.8)
         report = run_experiment(g, truth, spec, self.make_cfg(1))
         text = report.to_json()
         parsed = json.loads(text)
@@ -347,7 +347,7 @@ class TestRunExperiment:
         monkeypatch.setattr(pipeline, "complete", counting)
         monkeypatch.setattr(evaluation, "complete", counting)
         g, truth = self.planted_instance()
-        run_experiment(g, truth, SampleSpec("rn", fraction=0.8, seed=1), self.make_cfg(1))
+        run_experiment(g, truth, SampleSpec("rn", fraction=0.8), self.make_cfg(1))
         assert len(calls) == 1
 
     def test_fingerprint_stable(self):
