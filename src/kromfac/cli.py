@@ -260,17 +260,13 @@ def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     g, id_map = _load_graph(args.edges)
     sub, kept = (rn_sample if args.strategy == "rn" else ff_sample)(g, _sample_spec(args), seed)
-    out = Path(args.out)
-    kept_sorted = sorted(kept)
+    labels = [id_map.external(u) for u in kept.to_external]
     buf = io.StringIO()
-    sub_map = NodeIdMap(
-        {id_map.external(old): new for new, old in enumerate(kept_sorted)},
-        [id_map.external(old) for old in kept_sorted],
-    )
-    write_edge_list(sub, buf, sub_map)
+    write_edge_list(sub, buf, NodeIdMap({label: new for new, label in enumerate(labels)}, labels))
+    out = Path(args.out)
     _write(out, "sampled.txt", buf.getvalue())
-    _write(out, "kept.txt", "\n".join(str(id_map.external(u)) for u in kept_sorted) + "\n")
-    print(f"sample: strategy={args.strategy} kept={len(kept)}/{g.n}")
+    _write(out, "kept.txt", "\n".join(map(str, labels)) + "\n")
+    print(f"sample: strategy={args.strategy} kept={sub.n}/{g.n}")
     return 0
 
 

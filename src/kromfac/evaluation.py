@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .community import Cover, hard_decision
-from .graph import Graph, bernoulli_pairs, induced_subgraph, neighbour_arrays
+from .graph import Graph, NodeIdMap, bernoulli_pairs, induced_subgraph, neighbour_arrays
 from .pipeline import (
     KromfacConfig, SearchTrace, baseline1, baseline2, complete, detect_seed, kromfac, sample_seed,
 )
@@ -96,22 +96,22 @@ def nmi(x: Cover, y: Cover) -> float:
     return min(max(score, 0.0), 1.0)
 
 
-def rn_sample(g: Graph, spec: SampleSpec, seed: int = 0) -> tuple[Graph, set[int]]:
-    """Keep ceil(fraction * n) nodes drawn from `seed` uniformly without replacement."""
+def rn_sample(g: Graph, spec: SampleSpec, seed: int = 0) -> tuple[Graph, NodeIdMap]:
+    """Keep ceil(fraction * n) nodes drawn from `seed` uniformly without
+    replacement. Returns the induced subgraph and its id map to g's ids."""
     if spec.strategy != "rn":
         raise ValueError("spec.strategy must be 'rn'")
     rng = np.random.default_rng(seed)
     target = math.ceil(spec.fraction * g.n)
-    kept = set(rng.choice(g.n, size=target, replace=False).tolist())
-    sub, _ = induced_subgraph(g, kept)
-    return sub, kept
+    return induced_subgraph(g, set(rng.choice(g.n, size=target, replace=False).tolist()))
 
 
-def ff_sample(g: Graph, spec: SampleSpec, seed: int = 0) -> tuple[Graph, set[int]]:
+def ff_sample(g: Graph, spec: SampleSpec, seed: int = 0) -> tuple[Graph, NodeIdMap]:
     """Forest-fire sampling, drawn from `seed`: burn from uniform unburned
     seeds until ceil(fraction * n) nodes burn. Each frontier node, first in
     first out, burns a geometric number (mean 1 / (1 - p_forward)) of its
     unburned CSR neighbours, chosen uniformly and burned in ascending order.
+    Returns the induced subgraph on the burned nodes and its id map to g's ids.
     """
     if spec.strategy != "ff":
         raise ValueError("spec.strategy must be 'ff'")
@@ -134,9 +134,7 @@ def ff_sample(g: Graph, spec: SampleSpec, seed: int = 0) -> tuple[Graph, set[int
             burned[picks] = True
             frontier.extend(picks.tolist())
             left -= picks.size
-    kept = set(np.flatnonzero(burned).tolist())
-    sub, _ = induced_subgraph(g, kept)
-    return sub, kept
+    return induced_subgraph(g, set(np.flatnonzero(burned).tolist()))
 
 
 def agm_generate(f_true: np.ndarray, seed: int) -> tuple[Graph, Cover]:
@@ -188,11 +186,10 @@ def graph_fingerprint(g: Graph) -> dict:
     return {"nodes": g.n, "edges": g.edge_count, "sha256": digest.hexdigest()}
 
 
-def restrict_truth(truth: Cover, kept: set[int]) -> tuple[Cover, list[str]]:
-    """Reindex the ground truth onto the kept nodes, dropping communities
-    emptied by the deletion."""
-    kept_sorted = sorted(kept)
-    remap = {old: new for new, old in enumerate(kept_sorted)}
+def restrict_truth(truth: Cover, kept: NodeIdMap) -> tuple[Cover, list[str]]:
+    """Reindex the ground truth onto the kept nodes, a sampler's id map,
+    dropping communities emptied by the deletion."""
+    remap = kept.to_internal
     notes = []
     communities = []
     for idx, com in enumerate(truth.communities):
@@ -201,7 +198,7 @@ def restrict_truth(truth: Cover, kept: set[int]) -> tuple[Cover, list[str]]:
             notes.append(f"community {idx} emptied by sampling; dropped from truth")
             continue
         communities.append(surviving)
-    return Cover(tuple(communities), len(kept_sorted)), notes
+    return Cover(tuple(communities), len(kept.to_external)), notes
 
 
 def run_experiment(
@@ -218,9 +215,9 @@ def run_experiment(
         raise ValueError("ground-truth cover must be defined on the dataset's nodes")
     sampler = rn_sample if spec.strategy == "rn" else ff_sample
     g_obs, kept = sampler(g_true, spec, sample_seed(cfg.seed))
-    m = g_true.n - len(kept)
     truth_obs, notes = restrict_truth(truth, kept)
-    cfg = replace(cfg, m=m)
+    cfg = replace(cfg, m=g_true.n - g_obs.n)
+    cfg.resolve_lambda(g_obs.n)  # an overflowing lambda fails here, before the fit
 
     timing = {}
     t0 = time.perf_counter()

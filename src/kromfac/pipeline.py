@@ -2,21 +2,25 @@
 
 The pipeline has three stages: `complete` (fit the Kronecker model by EM
 and realize the missing part), rank (degree ranking of the recovered
-nodes), then search (detection on N+i nodes for each candidate i, picked
-by regularized loss). Candidate i's graph is the induced subgraph of the
-largest candidate's on its first N+i nodes, so the search is one
-`commun_det_prefixes` call over that one graph. `baseline2` reuses
+nodes), then search (detection on N+i nodes for each candidate i).
+`search` runs the first two stages and the detections: candidate i's
+graph is the induced subgraph of the largest candidate's on its first
+N+i nodes, so the detections are one `commun_det_prefixes` call over that
+one graph. `select` then picks i by regularized loss, and `kromfac` is
+search, select and the chosen candidate's cover. `baseline2` reuses
 `complete`; `baseline1` detects on the observed graph alone.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .community import Cover, DetectConfig, commun_det, commun_det_prefixes, density_delta, hard_decision
+from .community import (
+    Cover, DetectConfig, DetectResult, commun_det, commun_det_prefixes, density_delta, hard_decision,
+)
 from .completion import RecoveredGraph, as_graph, realize_missing
 from .graph import Graph, neighbour_arrays
 from .kron import EmConfig, KroneckerModel, NodeMapping, kronem_fit, random_theta_init
@@ -80,7 +84,13 @@ class KromfacConfig:
     def resolve_lambda(self, n_observed: int) -> float:
         if self.lambda_abs is not None:
             return self.lambda_abs
-        return self.lambda_coef * n_observed
+        lam = self.lambda_coef * n_observed
+        if lam == math.inf:
+            raise ValueError(
+                f"lambda_coef must be positive and finite in lambda = lambda_coef * N, "
+                f"got lambda_coef={self.lambda_coef} and N={n_observed}"
+            )
+        return lam
 
 
 @dataclass(frozen=True)
@@ -103,15 +113,7 @@ class SearchTrace:
             {
                 "lambda": self.lambda_value,
                 "h": self.h,
-                "trace": [
-                    {
-                        "i": e.i,
-                        "loss": e.loss,
-                        "reg_loss": e.reg_loss,
-                        "converged": e.converged,
-                    }
-                    for e in self.entries
-                ],
+                "trace": [asdict(e) for e in self.entries],
                 "i_hat": self.i_hat,
             }
         )
@@ -124,23 +126,35 @@ def regularized_loss(d: float, i: int, lam: float) -> float:
     return d - lam * math.log(i + 1)
 
 
-def kromfac(
-    g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None
-) -> tuple[Cover, SearchTrace]:
-    """Run the full pipeline: fit the Kronecker model, realize the missing
-    part, rank influential nodes, search i by regularized loss, and
-    hard-decide the cover from the best affiliation matrix.
+@dataclass(frozen=True)
+class SearchResult:
+    """What `search` found: the recovered graph, its ranking, the
+    candidates i in ascending order, the search graph (the largest
+    candidate's) and each candidate's detection on its first N+i nodes."""
+
+    rg: RecoveredGraph
+    ranking: Ranking
+    candidates: tuple[int, ...]
+    graph: Graph
+    results: tuple[DetectResult, ...]
+
+
+def search(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None) -> SearchResult:
+    """Recover g_obs's missing part, rank the recovered nodes and run one
+    detection per candidate i, all in one lockstep `commun_det_prefixes`
+    call over the largest candidate's graph.
 
     `rg` is a precomputed `complete(g_obs, cfg.m, cfg.n0, cfg.em,
     cfg.seed)` result; None runs `complete`."""
-    lam = cfg.resolve_lambda(g_obs.n)
-    rg, ranking = _recover_and_rank(g_obs, cfg, rg)
-    candidates = ([0] if cfg.include_i0 else []) + list(range(1, ranking.h + 1))
+    rg = _recovered(g_obs, cfg, rg)
+    eps = default_epsilon(rg) if cfg.epsilon == AUTO else cfg.epsilon
+    # An edgeless recovered graph gives eps = 0: no node can qualify.
+    ranking = Ranking(h=0, order=()) if eps <= 0 else select_influential(rg, eps)
+    candidates = ((0,) if cfg.include_i0 else ()) + tuple(range(1, ranking.h + 1))
     if not candidates:
         raise ValueError(
             "no candidates to search: H=0 and i=0 excluded (set include_i0)"
         )
-
     g_search = as_graph(rg, candidates[-1], ranking.order)
     results = commun_det_prefixes(
         g_search,
@@ -149,23 +163,32 @@ def kromfac(
         cfg.detect,
         [detect_seed(cfg.seed, i) for i in candidates],
     )
-    entries = []
-    best = None
-    for i, res in zip(candidates, results):
-        reg = regularized_loss(res.loss, i, lam)
-        entries.append(TraceEntry(i=i, loss=res.loss, reg_loss=reg, converged=res.converged))
-        if best is None or reg < best[0]:
-            best = (reg, i, res)
+    return SearchResult(rg, ranking, candidates, g_search, tuple(results))
 
-    _, i_hat, res_hat = best
-    cover = _cover(res_hat.f, cfg.delta, g_search)
-    trace = SearchTrace(
-        lambda_value=lam,
-        h=ranking.h,
-        entries=tuple(entries),
-        i_hat=i_hat,
+
+def select(found: SearchResult, lam: float) -> SearchTrace:
+    """The trace of `found` at regularization `lam`; i_hat is the first
+    candidate of least regularized loss."""
+    entries = tuple(
+        TraceEntry(i, res.loss, regularized_loss(res.loss, i, lam), res.converged)
+        for i, res in zip(found.candidates, found.results)
     )
-    return cover, trace
+    i_hat = min(entries, key=lambda e: e.reg_loss).i
+    return SearchTrace(lambda_value=lam, h=found.ranking.h, entries=entries, i_hat=i_hat)
+
+
+def kromfac(
+    g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None
+) -> tuple[Cover, SearchTrace]:
+    """Run the full pipeline: `search`, `select` i by regularized loss, and
+    hard-decide the cover from the chosen candidate's affiliation matrix.
+
+    `rg` is as in `search`."""
+    lam = cfg.resolve_lambda(g_obs.n)
+    found = search(g_obs, cfg, rg)
+    trace = select(found, lam)
+    res_hat = found.results[found.candidates.index(trace.i_hat)]
+    return _cover(res_hat.f, cfg.delta, found.graph), trace
 
 
 def _cover(f: np.ndarray, delta: float | str, g: Graph) -> Cover:
@@ -208,19 +231,6 @@ def _recovered(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None) -> R
     if rg.m != cfg.m or rg.base != g_obs:
         raise ValueError("recovered graph does not extend g_obs by cfg.m nodes")
     return rg
-
-
-def _recover_and_rank(
-    g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None
-) -> tuple[RecoveredGraph, Ranking]:
-    rg = _recovered(g_obs, cfg, rg)
-    eps = default_epsilon(rg) if cfg.epsilon == AUTO else cfg.epsilon
-    if eps <= 0:
-        # Edgeless recovered graph: no node can qualify.
-        ranking = Ranking(h=0, order=())
-    else:
-        ranking = select_influential(rg, eps)
-    return rg, ranking
 
 
 def baseline1(

@@ -14,16 +14,7 @@ import pytest
 
 import kromfac.kron as kron_mod
 from kromfac.cli import run_command
-from kromfac.community import (
-    Cover,
-    DetectConfig,
-    agm_log_likelihood,
-    commun_det,
-    default_delta,
-    _gradient,
-    hard_decision,
-)
-from kromfac.completion import as_graph
+from kromfac.community import Cover, DetectConfig, agm_log_likelihood, _gradient, hard_decision
 from kromfac.evaluation import SampleSpec, agm_generate, nmi, restrict_truth, rn_sample
 from kromfac.graph import Graph
 from kromfac.kron import (
@@ -37,12 +28,13 @@ from kromfac.kron import (
 )
 from kromfac.pipeline import (
     KromfacConfig,
-    _recover_and_rank,
     baseline1,
     baseline2,
     detect_seed,
     kromfac,
-    regularized_loss,
+    resolve_delta,
+    search,
+    select,
 )
 
 
@@ -226,28 +218,20 @@ def study_seed(seed, n=150, c=3, strength=1.0, overlap=0.3):
     g_true, truth = agm_generate(f_true, seed=seed * 31 + 5)
     g_obs, kept = rn_sample(g_true, SampleSpec("rn", fraction=0.7), seed * 13 + 2)
     truth_obs, _ = restrict_truth(truth, kept)
-    cfg = KromfacConfig(
-        m=g_true.n - len(kept), c=c, seed=seed, em=STUDY_EM, detect=STUDY_DETECT
-    )
-    rg, ranking = _recover_and_rank(g_obs, cfg)
     n_obs = g_obs.n
-    lam = cfg.resolve_lambda(n_obs)
-    curve, best = [], None
-    for i in range(ranking.h + 1):
-        gi = as_graph(rg, i, ranking.order)
-        res = commun_det(gi, c, cfg.detect, detect_seed(cfg.seed, i))
-        cov = hard_decision(res.f, default_delta(gi)).restrict(n_obs)
-        score = nmi(truth_obs, cov)
-        reg = regularized_loss(res.loss, i, lam)
-        curve.append(score)
-        if best is None or reg < best[0]:
-            best = (reg, i, score)
+    cfg = KromfacConfig(m=g_true.n - n_obs, c=c, seed=seed, em=STUDY_EM, detect=STUDY_DETECT)
+    found = search(g_obs, cfg)
+    i_hat = select(found, cfg.resolve_lambda(n_obs)).i_hat
+    curve = [
+        nmi(truth_obs, hard_decision(res.f, resolve_delta(cfg.delta, found.graph, len(res.f))).restrict(n_obs))
+        for res in found.results
+    ]
     b1 = nmi(
         truth_obs,
         baseline1(g_obs, c, detect=cfg.detect, seed=detect_seed(cfg.seed, 0)).restrict(n_obs),
     )
-    b2 = nmi(truth_obs, baseline2(g_obs, cfg, rg).restrict(n_obs))
-    return curve, best[1], best[2], b1, b2
+    b2 = nmi(truth_obs, baseline2(g_obs, cfg, found.rg).restrict(n_obs))
+    return curve, i_hat, curve[i_hat], b1, b2
 
 
 @pytest.fixture(scope="module")

@@ -124,6 +124,8 @@ class TestRuntimeErrors:
         ("detect", "--delta", "nan", "delta"),
         ("detect", "--lambda", "nan", "lambda_abs"),
         ("detect", "--lambda-coef", "nan", "lambda_coef"),
+        ("detect", "--lambda-coef", "1e308", "lambda_coef"),  # finite, but lambda_coef * N overflows
+        ("experiment", "--lambda-coef", "1e308", "lambda_coef"),
         ("detect", "--epsilon", "nan", "epsilon"),
         ("detect", "--epsilon", "-1", "epsilon"),
         ("baseline1", "--delta", "nan", "delta"),
@@ -134,7 +136,8 @@ class TestRuntimeErrors:
         monkeypatch.setattr(pipeline, "kronem_fit", no_fit)
         edges = two_cliques_file(tmp_path)
         sizes = {"complete": ["--missing", "2"], "detect": ["--communities", "2", "--missing", "2"],
-                 "baseline1": ["--communities", "2", *FAST_DETECT]}[command]
+                 "baseline1": ["--communities", "2", *FAST_DETECT],
+                 "experiment": ["--communities", "2", "--truth", str(edges)]}[command]
         args = [command, "--edges", str(edges), "--out", str(tmp_path / "o"), "--seed", "0",
                 *sizes, flag, value]
         assert run_command(args) == 1

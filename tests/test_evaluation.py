@@ -83,13 +83,13 @@ class TestRnSample:
     def test_fraction_one_identity(self):
         g = ring(10)
         sub, kept = rn_sample(g, SampleSpec("rn", fraction=1.0), 0)
-        assert kept == set(range(10))
+        assert kept.to_external == list(range(10))
         assert sub == g
 
     def test_exact_count(self):
         g = ring(10)
         sub, kept = rn_sample(g, SampleSpec("rn", fraction=0.7), 1)
-        assert len(kept) == 7 and sub.n == 7
+        assert len(kept.to_external) == 7 and sub.n == 7
 
     def test_uniformity(self):
         g = ring(20)
@@ -97,7 +97,7 @@ class TestRnSample:
         trials = 2000
         for s in range(trials):
             _, kept = rn_sample(g, SampleSpec("rn", fraction=0.7), s)
-            for u in kept:
+            for u in kept.to_external:
                 counts[u] += 1
         p = 0.7
         se = math.sqrt(p * (1 - p) / trials)
@@ -131,8 +131,7 @@ def scalar_ff_sample(g, spec, seed):
                 frontier.append(v)
                 if len(burned) >= target:
                     break
-    kept = set(burned)
-    return induced_subgraph(g, kept)[0], kept
+    return induced_subgraph(g, set(burned))
 
 
 def oracle_graphs(rng):
@@ -165,19 +164,19 @@ class TestFfSample:
     def test_fraction_one_keeps_all(self):
         g = ring(12)
         _, kept = ff_sample(g, SampleSpec("ff", fraction=1.0, p_forward=0.3), 0)
-        assert kept == set(range(12))
+        assert kept.to_external == list(range(12))
 
     def test_exact_count(self):
         g = ring(10)
         sub, kept = ff_sample(g, SampleSpec("ff", fraction=0.7), 2)
-        assert len(kept) == 7 and sub.n == 7
+        assert len(kept.to_external) == 7 and sub.n == 7
 
     def test_high_burn_probability_floods_component(self):
         g = ring(30)
         spec = SampleSpec("ff", fraction=0.5, p_forward=1 - 1e-12)
         sub, kept = ff_sample(g, spec, 3)
         # One seed burns contiguously around the ring: the kept set is connected.
-        assert len(kept) == 15
+        assert len(kept.to_external) == 15
         assert sub.edge_count >= 14
 
     def test_retains_more_edges_than_rn(self):
@@ -196,9 +195,9 @@ class TestFfSample:
 
         wins = 0
         for s in range(10):
-            ff_g, ff_kept = ff_sample(g, SampleSpec("ff", fraction=0.3), s)
-            rn_g, rn_kept = rn_sample(g, SampleSpec("rn", fraction=0.3), s)
-            assert len(ff_kept) == len(rn_kept)
+            ff_g, _ = ff_sample(g, SampleSpec("ff", fraction=0.3), s)
+            rn_g, _ = rn_sample(g, SampleSpec("rn", fraction=0.3), s)
+            assert ff_g.n == rn_g.n
             if ff_g.edge_count >= rn_g.edge_count:
                 wins += 1
         assert wins >= 7
@@ -296,9 +295,10 @@ class TestAgmGenerate:
 class TestRestrictTruth:
     def test_reindex_and_drop(self):
         truth = cover(6, {0, 1, 2}, {4}, {3, 5})
-        restricted, notes = restrict_truth(truth, kept={0, 1, 2, 3})
+        _, kept = induced_subgraph(Graph(6, []), {0, 2, 3, 5})
+        restricted, notes = restrict_truth(truth, kept)
         assert restricted.universe == 4
-        assert restricted.communities == (frozenset({0, 1, 2}), frozenset({3}))
+        assert restricted.communities == (frozenset({0, 1}), frozenset({2, 3}))
         assert len(notes) == 1 and "dropped" in notes[0]
 
 

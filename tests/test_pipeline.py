@@ -12,7 +12,6 @@ from kromfac.kron import EmConfig
 from kromfac.pipeline import (
     AUTO,
     KromfacConfig,
-    _recover_and_rank,
     baseline1,
     baseline2,
     complete,
@@ -20,6 +19,8 @@ from kromfac.pipeline import (
     kromfac,
     regularized_loss,
     resolve_delta,
+    search,
+    select,
 )
 
 FAST_EM = EmConfig(em_iters=3, grad_steps=5, mcmc_samples=50)
@@ -139,17 +140,24 @@ class TestKromfac:
 class TestSearch:
     def test_trace_matches_candidate_runs_alone(self):
         # The lockstep search against the loop it replaced: detection on
-        # as_graph(rg, i, order) for each candidate, one at a time.
+        # as_graph(rg, i, order) for each candidate, one at a time. The
+        # acceptance study reads each candidate's cover from the search, so
+        # the covers are compared too, and kromfac() is search, then select,
+        # then the chosen candidate's cover.
         g = community_graph(4)
         cfg = small_cfg(6, 2, seed=12, epsilon=1.0)
-        _, trace = kromfac(g, cfg)
-        rg, ranking = _recover_and_rank(g, cfg)
-        assert trace.h == ranking.h > 2
-        for entry in trace.entries:
-            gi = as_graph(rg, entry.i, ranking.order)
+        cover, trace = kromfac(g, cfg)
+        found = search(g, cfg)
+        assert trace == select(found, cfg.resolve_lambda(g.n))
+        assert trace.h == found.ranking.h > 2 and found.candidates == tuple(range(trace.h + 1))
+        for entry, res in zip(trace.entries, found.results, strict=True):
+            gi = as_graph(found.rg, entry.i, found.ranking.order)
             alone = commun_det(gi, cfg.c, cfg.detect, detect_seed(cfg.seed, entry.i))
             assert entry.converged == alone.converged
             assert abs(entry.loss - alone.loss) <= 1e-12 * abs(alone.loss)
+            cover_i = hard_decision(res.f, resolve_delta(cfg.delta, found.graph, len(res.f)))
+            assert cover_i == hard_decision(alone.f, default_delta(gi))
+            assert (cover_i == cover) == (entry.i == trace.i_hat)
 
     def test_precomputed_recovery_gives_the_same_results(self):
         g = community_graph(5)
@@ -213,7 +221,7 @@ class TestGoldenPipeline:
             monkeypatch.setattr(kron_mod, "EXACT_PAIR_LIMIT", limit)
         g = community_graph(graph_seed, n=24, p_in=0.7, p_out=0.03)
         cover, trace = kromfac(g, cfg)
-        assert _recover_and_rank(g, cfg)[1].order == order
+        assert search(g, cfg).ranking.order == order
         assert [sorted(com) for com in cover.communities] == communities
         assert cover.universe == g.n + i_hat
         assert trace.i_hat == i_hat and trace.h == len(order)
