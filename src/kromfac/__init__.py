@@ -6,16 +6,14 @@ from .community import (
     DetectConfig,
     agm_log_likelihood,
     commun_det,
-    default_delta,
     hard_decision,
-    loss,
 )
 from .completion import RecoveredGraph, as_graph, realize_missing
 from .evaluation import SampleSpec, agm_generate, ff_sample, nmi, rn_sample, run_experiment
 from .graph import Graph, NodeIdMap, induced_subgraph, load_edge_list, write_edge_list
 from .kron import EmConfig, KroneckerModel, NodeMapping, kron_entry, kron_log_likelihood, kronem_fit
 from .pipeline import KromfacConfig, SearchTrace, baseline1, baseline2, kromfac, regularized_loss
-from .ranking import Ranking, default_epsilon, degree_centrality, select_influential
+from .ranking import Ranking, default_epsilon, select_influential
 
 __version__ = "0.1.0"
 
@@ -38,9 +36,7 @@ __all__ = [
     "baseline1",
     "baseline2",
     "commun_det",
-    "default_delta",
     "default_epsilon",
-    "degree_centrality",
     "ff_sample",
     "hard_decision",
     "induced_subgraph",
@@ -49,7 +45,6 @@ __all__ = [
     "kronem_fit",
     "kromfac",
     "load_edge_list",
-    "loss",
     "nmi",
     "realize_missing",
     "regularized_loss",

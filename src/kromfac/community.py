@@ -184,11 +184,6 @@ def agm_log_likelihood(g: Graph, f: np.ndarray) -> float:
     return _log_likelihoods(f[:, None], [g.n], _loss_runs([g.n], eu, ev, f.shape[1]))[0]
 
 
-def loss(g: Graph, f: np.ndarray) -> float:
-    """Negative log-likelihood of the graph given F."""
-    return -agm_log_likelihood(g, f)
-
-
 def _sum_nbrs(x: np.ndarray) -> np.ndarray:
     """Sum of x over its neighbour axis (0), strictly in index order.
 
@@ -223,21 +218,13 @@ def _gradient(s: np.ndarray, nbr_rows: np.ndarray, total_other: np.ndarray) -> n
 
 
 def density_delta(n: int, edge_count: int) -> float:
-    """default_delta of a graph with n >= 2 nodes and edge_count edges."""
+    """Membership threshold matched to the background edge density of a
+    graph with n >= 2 nodes and edge_count edges: a shared membership of
+    strength delta yields edge probability equal to the density
+    2|E| / (n(n-1)), floored at DELTA_FLOOR."""
     p_bg = 2.0 * edge_count / (n * (n - 1))
     p_bg = min(p_bg, 1.0 - 1e-9)
     return max(math.sqrt(-math.log1p(-p_bg)), DELTA_FLOOR)
-
-
-def default_delta(g: Graph) -> float:
-    """Membership threshold matched to the background edge density.
-
-    A shared membership of strength delta yields edge probability equal
-    to the graph's density 2|E| / (n(n-1)).
-    """
-    if g.n < 2:
-        raise ValueError("need at least two nodes")
-    return density_delta(g.n, g.edge_count)
 
 
 def _init_rows(n: int, edge_count: int, c: int, seed: int) -> np.ndarray:

@@ -16,9 +16,7 @@ import numpy as np
 
 from .community import Cover, hard_decision
 from .graph import Graph, NodeIdMap, bernoulli_pairs, induced_subgraph, neighbour_arrays
-from .pipeline import (
-    KromfacConfig, SearchTrace, baseline1, baseline2, complete, detect_seed, kromfac, sample_seed,
-)
+from .pipeline import KromfacConfig, SearchTrace, baseline2, sample_seed, search, select
 
 PLANTED_DELTA = 0.5
 
@@ -209,7 +207,8 @@ def run_experiment(
 ) -> ExperimentReport:
     """Sample the observable graph, run KroMFac and both baselines, and
     score each against the (restricted) ground truth over observed nodes.
-    The Kronecker fit is run once and shared by KroMFac and baseline2. The
+    One `search` gives KroMFac's cover and baseline 1's, its i = 0
+    candidate, and its recovered graph is reused by baseline2. The
     sampler's seed is `sample_seed(cfg.seed)`."""
     if truth.universe != g_true.n:
         raise ValueError("ground-truth cover must be defined on the dataset's nodes")
@@ -217,23 +216,17 @@ def run_experiment(
     g_obs, kept = sampler(g_true, spec, sample_seed(cfg.seed))
     truth_obs, notes = restrict_truth(truth, kept)
     cfg = replace(cfg, m=g_true.n - g_obs.n)
-    cfg.resolve_lambda(g_obs.n)  # an overflowing lambda fails here, before the fit
+    lam = cfg.resolve_lambda(g_obs.n)  # an overflowing lambda fails here, before the fit
 
     timing = {}
     t0 = time.perf_counter()
-    _, _, rg = complete(g_obs, cfg.m, cfg.n0, cfg.em, cfg.seed)
-    timing["complete"] = time.perf_counter() - t0
+    found = search(g_obs, cfg)
+    trace = select(found, lam, cfg.include_i0)
+    cover_k, cover_b1 = found.cover(trace.i_hat, cfg.delta), found.cover(0, cfg.delta)
+    timing["search"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cover_k, trace = kromfac(g_obs, cfg, rg)
-    timing["kromfac"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cover_b1 = baseline1(g_obs, cfg.c, cfg.delta, cfg.detect, detect_seed(cfg.seed, 0))
-    timing["baseline1"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cover_b2 = baseline2(g_obs, cfg, rg)
+    cover_b2 = baseline2(g_obs, cfg, found.rg)
     timing["baseline2"] = time.perf_counter() - t0
 
     n_obs = g_obs.n

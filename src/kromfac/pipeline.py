@@ -7,8 +7,10 @@ nodes), then search (detection on N+i nodes for each candidate i).
 graph is the induced subgraph of the largest candidate's on its first
 N+i nodes, so the detections are one `commun_det_prefixes` call over that
 one graph. `select` then picks i by regularized loss, and `kromfac` is
-search, select and the chosen candidate's cover. `baseline2` reuses
-`complete`; `baseline1` detects on the observed graph alone.
+search, select and the chosen candidate's cover. Candidate 0 is
+detection on the observed graph alone, so `search` also gives baseline
+1's cover; `baseline1` runs that detection by itself. `baseline2` reuses
+`complete`, or a search's recovered graph.
 """
 from __future__ import annotations
 
@@ -128,34 +130,31 @@ def regularized_loss(d: float, i: int, lam: float) -> float:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """What `search` found: the recovered graph, its ranking, the
-    candidates i in ascending order, the search graph (the largest
-    candidate's) and each candidate's detection on its first N+i nodes."""
+    """What `search` found: the recovered graph, its ranking, the search
+    graph (the largest candidate's) and, as results[i], candidate i's
+    detection on its first N+i nodes, for every i = 0..H."""
 
     rg: RecoveredGraph
     ranking: Ranking
-    candidates: tuple[int, ...]
     graph: Graph
     results: tuple[DetectResult, ...]
 
+    def cover(self, i: int, delta: float | str) -> Cover:
+        """Candidate i's cover, at `delta` resolved on its N+i nodes."""
+        return _cover(self.results[i].f, delta, self.graph)
 
-def search(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None) -> SearchResult:
+
+def search(g_obs: Graph, cfg: KromfacConfig) -> SearchResult:
     """Recover g_obs's missing part, rank the recovered nodes and run one
-    detection per candidate i, all in one lockstep `commun_det_prefixes`
-    call over the largest candidate's graph.
-
-    `rg` is a precomputed `complete(g_obs, cfg.m, cfg.n0, cfg.em,
-    cfg.seed)` result; None runs `complete`."""
-    rg = _recovered(g_obs, cfg, rg)
+    detection per candidate i = 0..H, all in one lockstep
+    `commun_det_prefixes` call over the largest candidate's graph.
+    Candidate 0 is detection on g_obs alone, baseline 1's."""
+    rg = _recovered(g_obs, cfg)
     eps = default_epsilon(rg) if cfg.epsilon == AUTO else cfg.epsilon
     # An edgeless recovered graph gives eps = 0: no node can qualify.
     ranking = Ranking(h=0, order=()) if eps <= 0 else select_influential(rg, eps)
-    candidates = ((0,) if cfg.include_i0 else ()) + tuple(range(1, ranking.h + 1))
-    if not candidates:
-        raise ValueError(
-            "no candidates to search: H=0 and i=0 excluded (set include_i0)"
-        )
-    g_search = as_graph(rg, candidates[-1], ranking.order)
+    g_search = as_graph(rg, ranking.h, ranking.order)
+    candidates = range(ranking.h + 1)
     results = commun_det_prefixes(
         g_search,
         [g_obs.n + i for i in candidates],
@@ -163,32 +162,33 @@ def search(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None) -
         cfg.detect,
         [detect_seed(cfg.seed, i) for i in candidates],
     )
-    return SearchResult(rg, ranking, candidates, g_search, tuple(results))
+    return SearchResult(rg, ranking, g_search, tuple(results))
 
 
-def select(found: SearchResult, lam: float) -> SearchTrace:
-    """The trace of `found` at regularization `lam`; i_hat is the first
-    candidate of least regularized loss."""
+def select(found: SearchResult, lam: float, include_i0: bool) -> SearchTrace:
+    """The trace of `found` at regularization `lam`, over candidates 0..H,
+    or 1..H without i = 0; i_hat is the first candidate of least
+    regularized loss."""
+    first = 0 if include_i0 else 1
+    if first > found.ranking.h:
+        raise ValueError(
+            "no candidates to select: H=0 and i=0 excluded (drop --no-i0 or set include_i0=True)"
+        )
     entries = tuple(
         TraceEntry(i, res.loss, regularized_loss(res.loss, i, lam), res.converged)
-        for i, res in zip(found.candidates, found.results)
+        for i, res in enumerate(found.results[first:], first)
     )
     i_hat = min(entries, key=lambda e: e.reg_loss).i
     return SearchTrace(lambda_value=lam, h=found.ranking.h, entries=entries, i_hat=i_hat)
 
 
-def kromfac(
-    g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None
-) -> tuple[Cover, SearchTrace]:
+def kromfac(g_obs: Graph, cfg: KromfacConfig) -> tuple[Cover, SearchTrace]:
     """Run the full pipeline: `search`, `select` i by regularized loss, and
-    hard-decide the cover from the chosen candidate's affiliation matrix.
-
-    `rg` is as in `search`."""
+    the chosen candidate's cover."""
     lam = cfg.resolve_lambda(g_obs.n)
-    found = search(g_obs, cfg, rg)
-    trace = select(found, lam)
-    res_hat = found.results[found.candidates.index(trace.i_hat)]
-    return _cover(res_hat.f, cfg.delta, found.graph), trace
+    found = search(g_obs, cfg)
+    trace = select(found, lam, cfg.include_i0)
+    return found.cover(trace.i_hat, cfg.delta), trace
 
 
 def _cover(f: np.ndarray, delta: float | str, g: Graph) -> Cover:
@@ -198,7 +198,7 @@ def _cover(f: np.ndarray, delta: float | str, g: Graph) -> Cover:
 
 def resolve_delta(delta: float | str, g: Graph, n: int | None = None) -> float:
     """The membership threshold for a cover of g's first n nodes (all by
-    default): `delta` itself, or for AUTO the default_delta of the induced
+    default): `delta` itself, or for AUTO the density_delta of the induced
     subgraph on them, falling back to 1.0 below two nodes. The subgraph's
     edges are counted from g's edge arrays; it is not built."""
     if delta != AUTO:
@@ -222,7 +222,7 @@ def complete(
     return model, mapping, rg
 
 
-def _recovered(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None) -> RecoveredGraph:
+def _recovered(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None) -> RecoveredGraph:
     """`rg` checked against g_obs and cfg.m, or a fresh `complete` run."""
     if g_obs.n == 0:
         raise ValueError("cannot detect communities on an empty graph (0 nodes)")
@@ -247,7 +247,8 @@ def baseline1(
 def baseline2(g_obs: Graph, cfg: KromfacConfig, rg: RecoveredGraph | None = None) -> Cover:
     """Detection on the fully completed graph (i = M, no selection).
 
-    `rg` is as in `kromfac`."""
+    `rg` is a precomputed `complete(g_obs, cfg.m, cfg.n0, cfg.em,
+    cfg.seed)` result, such as `search`'s; None runs `complete`."""
     g_full = as_graph(_recovered(g_obs, cfg, rg), cfg.m)
     res = commun_det(g_full, cfg.c, cfg.detect, detect_seed(cfg.seed, cfg.m))
     return _cover(res.f, cfg.delta, g_full)

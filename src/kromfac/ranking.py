@@ -5,20 +5,12 @@ import math
 from dataclasses import dataclass
 
 from .completion import RecoveredGraph
-from .graph import Graph
 
 
 @dataclass(frozen=True)
 class Ranking:
     h: int
     order: tuple[int, ...]  # recovered-node ids, descending centrality
-
-
-def degree_centrality(g: Graph, u: int) -> int:
-    """Number of incident edges of node u."""
-    if not (0 <= u < g.n):
-        raise ValueError(f"node {u} out of range for n={g.n}")
-    return g.degree(u)
 
 
 def select_influential(rg: RecoveredGraph, epsilon: float) -> Ranking:

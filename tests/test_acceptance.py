@@ -14,7 +14,7 @@ import pytest
 
 import kromfac.kron as kron_mod
 from kromfac.cli import run_command
-from kromfac.community import Cover, DetectConfig, agm_log_likelihood, _gradient, hard_decision
+from kromfac.community import Cover, DetectConfig, agm_log_likelihood, _gradient
 from kromfac.evaluation import SampleSpec, agm_generate, nmi, restrict_truth, rn_sample
 from kromfac.graph import Graph
 from kromfac.kron import (
@@ -30,9 +30,7 @@ from kromfac.pipeline import (
     KromfacConfig,
     baseline1,
     baseline2,
-    detect_seed,
     kromfac,
-    resolve_delta,
     search,
     select,
 )
@@ -221,17 +219,14 @@ def study_seed(seed, n=150, c=3, strength=1.0, overlap=0.3):
     n_obs = g_obs.n
     cfg = KromfacConfig(m=g_true.n - n_obs, c=c, seed=seed, em=STUDY_EM, detect=STUDY_DETECT)
     found = search(g_obs, cfg)
-    i_hat = select(found, cfg.resolve_lambda(n_obs)).i_hat
+    i_hat = select(found, cfg.resolve_lambda(n_obs), cfg.include_i0).i_hat
     curve = [
-        nmi(truth_obs, hard_decision(res.f, resolve_delta(cfg.delta, found.graph, len(res.f))).restrict(n_obs))
-        for res in found.results
+        nmi(truth_obs, found.cover(i, cfg.delta).restrict(n_obs))
+        for i in range(len(found.results))
     ]
-    b1 = nmi(
-        truth_obs,
-        baseline1(g_obs, c, detect=cfg.detect, seed=detect_seed(cfg.seed, 0)).restrict(n_obs),
-    )
+    # Baseline 1 is the search's i = 0 candidate.
     b2 = nmi(truth_obs, baseline2(g_obs, cfg, found.rg).restrict(n_obs))
-    return curve, i_hat, curve[i_hat], b1, b2
+    return curve, i_hat, curve[i_hat], curve[0], b2
 
 
 @pytest.fixture(scope="module")

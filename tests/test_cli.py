@@ -282,6 +282,17 @@ class TestDetect:
         trace = json.loads((out1 / "trace.json").read_text())
         assert {"i_hat", "h", "trace", "lambda"} <= set(trace)
 
+    def test_no_candidates_error_names_the_flag(self, tmp_path, capsys):
+        # --missing 0 gives H = 0, and --no-i0 leaves i = 0 out.
+        edges = two_cliques_file(tmp_path)
+        code = run_command([
+            "detect", "--edges", str(edges), "--communities", "2", "--missing", "0", "--no-i0",
+            "--seed", "3", "--out", str(tmp_path / "out"), *FAST_EM, *FAST_DETECT,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "no candidates" in err and "drop --no-i0" in err
+
     def test_random_seed_announced_when_omitted(self, tmp_path, capsys):
         edges = two_cliques_file(tmp_path)
         args = [
@@ -356,6 +367,13 @@ GOLDEN_ARTEFACTS = {
         "cover.txt": "9f4a570b65a4f21b56c564547804cd4065c12c568b517dbeecbaf084ad2187cb",
         "trace.json": "6c9d2f646a137c762d33b146c7e40aea1664c3d2d78029a4095d1fa686a4b95b",
     },
+    # The same run without i = 0: candidates 1 and 2 only. Pinned while the
+    # search ran only the included candidates, so it shows that detecting
+    # candidate 0 alongside them moves no byte of their output.
+    "detect-no-i0": {
+        "cover.txt": "9f4a570b65a4f21b56c564547804cd4065c12c568b517dbeecbaf084ad2187cb",
+        "trace.json": "e55d64be56c4add99a5e4b8b2227d520855668b24324b4f2563db74c704b0a81",
+    },
     "experiment": {
         "report.json": "73cb57a2f8d2a619c5e02ce3345487a945b7703490957cb8eb98e17e53de3504",
         "curves.csv": "98017ba7a455da1203d1e6a882aa06206db63eaf16fcc4f2615a73ff24f1dfb4",
@@ -369,15 +387,17 @@ class TestGoldenArtefacts:
         edges = two_cliques_file(tmp_path, size=5)
         truth = tmp_path / "truth.txt"
         truth.write_text("0 1 2 3 4\n5 6 7 8 9\n", encoding="utf-8")
+        detect = [
+            "detect", "--communities", "2", "--missing", "3", "--epsilon", "0.5",
+            *FAST_EM, *FAST_DETECT,
+        ]
         args = {
             "baseline1": ["baseline1", "--communities", "2", *FAST_DETECT],
             "baseline2": ["baseline2", "--communities", "2", "--missing", "3", *FAST_EM, *FAST_DETECT],
             "complete": ["complete", "--missing", "2", *FAST_EM],
             "sample": ["sample", "--strategy", "ff", "--fraction", "0.6"],
-            "detect": [
-                "detect", "--communities", "2", "--missing", "3", "--epsilon", "0.5",
-                *FAST_EM, *FAST_DETECT,
-            ],
+            "detect": detect,
+            "detect-no-i0": [*detect, "--no-i0"],
             "experiment": [
                 "experiment", "--communities", "2", "--truth", str(truth), "--fraction", "0.8",
                 *FAST_EM, *FAST_DETECT,
@@ -385,7 +405,7 @@ class TestGoldenArtefacts:
         }[command]
         out = tmp_path / "out"
         assert run_command([*args, "--edges", str(edges), "--seed", "3", "--out", str(out)]) == 0
-        if command == "detect":
+        if command.startswith("detect"):
             assert json.loads((out / "trace.json").read_text(encoding="utf-8"))["h"] == 2
         got = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -494,6 +514,18 @@ class TestExperiment:
         assert set(report["scores"]) == {"kromfac", "baseline1", "baseline2"}
         header = (outs[0] / "curves.csv").read_text().splitlines()[0]
         assert header == "i,loss,reg_loss"
+
+    def test_verbose_prints_the_timing_keys(self, tmp_path, capsys):
+        edges = two_cliques_file(tmp_path, size=5)
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0 1 2 3 4\n5 6 7 8 9\n", encoding="utf-8")
+        assert run_command([
+            "experiment", "--edges", str(edges), "--truth", str(truth), "--out", str(tmp_path / "out"),
+            "--communities", "2", "--seed", "3", "--fraction", "0.8", "-v", *FAST_EM, *FAST_DETECT,
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0].strip() for line in lines[1:]] == ["search", "baseline2"]
+        assert "timing" not in json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
 
     def test_one_seed_per_experiment(self, tmp_path):
         # The library call with cfg.seed = 3 writes the CLI's bytes for

@@ -12,14 +12,13 @@ from kromfac.community import (
     agm_log_likelihood,
     commun_det,
     commun_det_prefixes,
-    default_delta,
+    density_delta,
     _gradient,
     _init_rows,
     _log_likelihoods,
     _loss_runs,
     _sum_nbrs,
     hard_decision,
-    loss,
 )
 from kromfac.completion import RecoveredGraph, as_graph
 from kromfac.graph import Graph, neighbour_arrays
@@ -258,13 +257,16 @@ class TestLogLikelihood:
     def test_loss_is_negation_and_nonnegative(self):
         g = random_graph(10, 0.4, 1)
         f = np.random.default_rng(2).uniform(0, 1, size=(10, 2))
-        assert loss(g, f) == pytest.approx(-agm_log_likelihood(g, f))
-        assert loss(g, f) >= 0.0
+        assert -agm_log_likelihood(g, f) >= 0.0
+        # A detection's loss is the negated likelihood of its F.
+        res = commun_det(g, 2, DetectConfig(max_iters=3, eta_detect=1e-12), seed=2)
+        assert not res.converged
+        assert res.loss == pytest.approx(-agm_log_likelihood(g, res.f))
 
     def test_all_zero_f_with_floor_is_finite(self):
         g = random_graph(8, 0.5, 3)
         f = np.zeros((8, 2))
-        val = loss(g, f)
+        val = -agm_log_likelihood(g, f)
         expect = -g.edge_count * math.log(-math.expm1(-1e-10))
         assert math.isfinite(val)
         assert val == pytest.approx(expect)
@@ -302,7 +304,7 @@ class TestCommunDet:
         hits = 0
         for seed in range(10):
             res = commun_det(g, 2, seed=seed)
-            cover = hard_decision(res.f, default_delta(g))
+            cover = hard_decision(res.f, density_delta(g.n, g.edge_count))
             if set(cover.communities) == planted:
                 hits += 1
         assert hits >= 8
@@ -360,14 +362,14 @@ class TestHardDecision:
 class TestDefaultDelta:
     def test_complete_graph_clamps(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert default_delta(g) > 3.0  # clamped log keeps it finite but large
+        assert density_delta(g.n, g.edge_count) > 3.0  # clamped log keeps it finite but large
 
     def test_inverse_evaluation(self):
         # density 1 - e^{-1} should invert to exactly delta = 1.
         assert math.sqrt(-math.log1p(-(1 - math.exp(-1)))) == pytest.approx(1.0)
 
     def test_edgeless_floor(self):
-        assert default_delta(Graph(5, [])) == 1e-6
+        assert density_delta(5, 0) == 1e-6
 
 
 def test_scale_up_raises_every_edge_prob():
@@ -383,7 +385,7 @@ def test_init_affiliations_in_range():
     f = init_affiliations(g, 4, seed=0)
     assert f.shape == (10, 4)
     assert np.all(f >= 0)
-    assert np.all(f <= math.sqrt(default_delta(g)) / 4)
+    assert np.all(f <= math.sqrt(density_delta(g.n, g.edge_count)) / 4)
 
 
 def recovered(base, m, z1, z2):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kromfac import evaluation, pipeline
+from kromfac import pipeline
 from kromfac.community import Cover
 from kromfac.evaluation import (
     SampleSpec,
@@ -345,10 +345,29 @@ class TestRunExperiment:
             return complete(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "complete", counting)
-        monkeypatch.setattr(evaluation, "complete", counting)
         g, truth = self.planted_instance()
         run_experiment(g, truth, SampleSpec("rn", fraction=0.8), self.make_cfg(1))
         assert len(calls) == 1
+
+    def test_one_search_and_one_baseline2_detection(self, monkeypatch):
+        # Baseline 1 is the search's i = 0 candidate, so the only
+        # detection outside the search is baseline 2's.
+        calls = {"search": [], "commun_det": []}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name].append(args)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "commun_det_prefixes", counting("search", pipeline.commun_det_prefixes))
+        monkeypatch.setattr(pipeline, "commun_det", counting("commun_det", pipeline.commun_det))
+        g, truth = self.planted_instance()
+        report = run_experiment(g, truth, SampleSpec("rn", fraction=0.8), self.make_cfg(1))
+        assert len(calls["search"]) == 1 and len(calls["commun_det"]) == 1
+        (g_full, *_), = calls["commun_det"]
+        assert g_full.n == g.n  # baseline 2 detects on the fully completed graph
+        assert calls["search"][0][1][0] == g.n - report.config["m"]  # candidate 0 is g_obs
 
     def test_fingerprint_stable(self):
         g, _ = self.planted_instance()

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from kromfac import kron as kron_mod
-from kromfac.community import Cover, DetectConfig, commun_det, default_delta, hard_decision
+from kromfac.community import Cover, DetectConfig, commun_det, density_delta, hard_decision
 from kromfac.completion import as_graph
-from kromfac.graph import Graph, induced_subgraph
+from kromfac.graph import Graph, induced_subgraph, neighbour_arrays
 from kromfac.kron import EmConfig
 from kromfac.pipeline import (
     AUTO,
@@ -109,6 +109,14 @@ class TestKromfac:
         with pytest.raises(ValueError, match="no candidates"):
             kromfac(g, cfg)
 
+    def test_h_zero_without_i0_is_raised_by_select(self):
+        # The search always detects i = 0; only select reads include_i0.
+        found = search(two_cliques(), small_cfg(0, 2))
+        assert len(found.results) == 1
+        with pytest.raises(ValueError, match=r"no candidates.*drop --no-i0 or set include_i0=True\)$"):
+            select(found, 10.0, False)
+        assert [e.i for e in select(found, 10.0, True).entries] == [0]
+
     def test_rejects_negative_seed(self):
         # numpy's own message for it, "expected non-negative integer",
         # would not name the seed.
@@ -148,22 +156,37 @@ class TestSearch:
         cfg = small_cfg(6, 2, seed=12, epsilon=1.0)
         cover, trace = kromfac(g, cfg)
         found = search(g, cfg)
-        assert trace == select(found, cfg.resolve_lambda(g.n))
-        assert trace.h == found.ranking.h > 2 and found.candidates == tuple(range(trace.h + 1))
+        assert trace == select(found, cfg.resolve_lambda(g.n), cfg.include_i0)
+        assert trace.h == found.ranking.h > 2 and len(found.results) == trace.h + 1
         for entry, res in zip(trace.entries, found.results, strict=True):
             gi = as_graph(found.rg, entry.i, found.ranking.order)
             alone = commun_det(gi, cfg.c, cfg.detect, detect_seed(cfg.seed, entry.i))
             assert entry.converged == alone.converged
             assert abs(entry.loss - alone.loss) <= 1e-12 * abs(alone.loss)
-            cover_i = hard_decision(res.f, resolve_delta(cfg.delta, found.graph, len(res.f)))
-            assert cover_i == hard_decision(alone.f, default_delta(gi))
+            cover_i = found.cover(entry.i, cfg.delta)
+            assert cover_i == hard_decision(res.f, resolve_delta(cfg.delta, found.graph, len(res.f)))
+            assert cover_i == hard_decision(alone.f, density_delta(gi.n, gi.edge_count))
             assert (cover_i == cover) == (entry.i == trace.i_hat)
+
+    # (graph seed, m, seed): H >= 2 at epsilon = 1.0, and each search graph
+    # has an edge from an observed node to a ranked recovered one, so some
+    # of candidate 0's rows are masked in the stacked search.
+    @pytest.mark.parametrize("graph_seed, m, seed", [(4, 6, 12), (1, 6, 4), (2, 6, 5), (8, 6, 21)])
+    def test_candidate_zero_is_baseline1(self, graph_seed, m, seed):
+        g = community_graph(graph_seed)
+        cfg = small_cfg(m, 2, seed=seed, epsilon=1.0)
+        found = search(g, cfg)
+        eu, ev = neighbour_arrays(found.graph)[2:]
+        assert found.ranking.h >= 2 and np.any((eu < g.n) & (ev >= g.n))
+        for delta in (AUTO, 0.3):
+            b1 = baseline1(g, cfg.c, delta, cfg.detect, detect_seed(cfg.seed, 0))
+            assert found.cover(0, delta) == b1
 
     def test_precomputed_recovery_gives_the_same_results(self):
         g = community_graph(5)
         cfg = small_cfg(4, 2, seed=13)
         _, _, rg = complete(g, cfg.m, cfg.n0, cfg.em, cfg.seed)
-        assert kromfac(g, cfg, rg) == kromfac(g, cfg)
+        assert search(g, cfg).rg == rg
         assert baseline2(g, cfg, rg) == baseline2(g, cfg)
 
     def test_rejects_recovery_of_another_graph(self):
@@ -171,7 +194,7 @@ class TestSearch:
         cfg = small_cfg(4, 2, seed=13)
         _, _, rg = complete(g, cfg.m, cfg.n0, cfg.em, cfg.seed)
         with pytest.raises(ValueError, match="does not extend"):
-            kromfac(community_graph(6), cfg, rg)
+            baseline2(community_graph(6), cfg, rg)
         with pytest.raises(ValueError, match="does not extend"):
             baseline2(g, replace(cfg, m=3), rg)
 
@@ -265,14 +288,14 @@ class TestResolveDelta:
 
     def test_auto_uses_default_delta(self):
         g = two_cliques()
-        assert resolve_delta(AUTO, g) == default_delta(g)
+        assert resolve_delta(AUTO, g) == density_delta(g.n, g.edge_count)
 
     def test_prefix_counts_only_its_own_edges(self):
         # kromfac takes i_hat's threshold from the largest candidate's graph.
         g = community_graph(8, n=12)
         for n in range(2, g.n + 1):
             prefix, _ = induced_subgraph(g, set(range(n)))
-            assert resolve_delta(AUTO, g, n) == default_delta(prefix)
+            assert resolve_delta(AUTO, g, n) == density_delta(prefix.n, prefix.edge_count)
         assert resolve_delta(AUTO, g, 1) == 1.0
         assert resolve_delta(0.3, g, 5) == 0.3
 

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from kromfac.completion import RecoveredGraph
 from kromfac.graph import Graph
-from kromfac.ranking import Ranking, default_epsilon, degree_centrality, select_influential
+from kromfac.ranking import Ranking, default_epsilon, select_influential
 
 
 def star(leaves):
@@ -13,22 +13,18 @@ def star(leaves):
 class TestDegreeCentrality:
     def test_path_midpoint(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        assert degree_centrality(g, 1) == 2
+        assert g.degree(1) == 2
 
     def test_isolated(self):
         g = Graph(2, [(0, 1)])
-        assert degree_centrality(Graph(3, [(0, 1)]), 2) == 0
+        assert Graph(3, [(0, 1)]).degree(2) == 0
 
     def test_star_center(self):
-        assert degree_centrality(star(5), 0) == 5
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            degree_centrality(star(2), 9)
+        assert star(5).degree(0) == 5
 
     def test_degree_sum_is_twice_edges(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-        assert sum(degree_centrality(g, u) for u in range(g.n)) == 2 * g.edge_count
+        assert sum(g.degree(u) for u in range(g.n)) == 2 * g.edge_count
 
 
 def make_rg(base_n, z1, z2, m):
@@ -105,7 +101,7 @@ def full_graph(rg):
 def reference_ranking(rg, epsilon):
     """select_influential from full_graph's degrees."""
     full = full_graph(rg)
-    cen = {u: degree_centrality(full, u) for u in rg.recovered_ids}
+    cen = {u: full.degree(u) for u in rg.recovered_ids}
     kept = sorted((u for u, c in cen.items() if c >= epsilon), key=lambda u: (-cen[u], u))
     return Ranking(h=len(kept), order=tuple(kept))
 
@@ -132,7 +128,7 @@ class TestDegreeOracle:
     def test_select_influential_matches_full_graph(self, rg, epsilon):
         assert select_influential(rg, epsilon) == reference_ranking(rg, epsilon)
         full = full_graph(rg)
-        assert rg.degrees()[rg.n_observed:].tolist() == [degree_centrality(full, u) for u in rg.recovered_ids]
+        assert rg.degrees()[rg.n_observed:].tolist() == [full.degree(u) for u in rg.recovered_ids]
 
     @given(recovered_graphs())
     def test_default_epsilon_matches_full_graph(self, rg):
