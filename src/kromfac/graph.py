@@ -5,16 +5,15 @@ Graphs are simple (no self-loops, no parallel edges) and use dense
 preserved through a :class:`NodeIdMap`.
 
 A graph is stored in one form only: read-only numpy CSR arrays, built
-when the graph is constructed (`Graph(n, edges)` from pairs, as
-`load_edge_list` makes it, or `Graph.from_arrays`, as the EM state and
-the candidate search make it). `neighbour_arrays` returns them, and the
-pipeline hands graphs from stage to stage in that form. The sorted
-neighbour lists of `adjacency` are derived from the CSR on first read.
+when the graph is constructed, by `Graph(n, edges)` from pairs or by
+`Graph.from_arrays` (which `load_edge_list` calls after `unique_pairs`,
+and the EM state and the candidate search call too). `neighbour_arrays`
+returns them, and the pipeline hands graphs from stage to stage in that
+form.
 """
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -53,11 +52,10 @@ class Graph:
     """Immutable simple undirected graph.
 
     It holds its CSR arrays (read-only, see `neighbour_arrays`) and
-    nothing else of its edges; `adjacency` is a list view derived from
-    them on first read and cached.
+    nothing else of its edges.
     """
 
-    __slots__ = ("n", "edge_count", "_adjacency", "_arrays")
+    __slots__ = ("n", "edge_count", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """The graph on n nodes with the (u, v) pairs; reversed and repeated pairs collapse."""
@@ -107,23 +105,9 @@ class Graph:
         self._arrays = (indptr, indices, src[upper], indices[upper])
         for a in self._arrays:
             a.flags.writeable = False
-        self._adjacency = None
-
-    @property
-    def adjacency(self) -> list[list[int]]:
-        """Sorted neighbour list of each node."""
-        if self._adjacency is None:
-            flat, ends = self._arrays[1].tolist(), self._arrays[0].tolist()
-            self._adjacency = [flat[a:b] for a, b in zip(ends, ends[1:])]
-        return self._adjacency
 
     def degree(self, u: int) -> int:
         return int(self._arrays[0][u + 1] - self._arrays[0][u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adjacency[u]
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once, sorted by (u, v) with u < v."""

@@ -454,7 +454,9 @@ class _MhTables:
         flat = (memoryview(a.reshape(-1)) for a in (w, self.l1p, self.ll))
         self.w_flat, self.l1p_flat, self.ll_flat = flat
         self.sigma = sigma
-        self.nbrs = graph.adjacency
+        # Each node's neighbours as a list of Python ints, cut from the CSR.
+        ends, ids = (a.tolist() for a in neighbour_arrays(graph)[:2])
+        self.nbrs = [ids[a:b] for a, b in zip(ends, ends[1:])]
 
     def _w_gain(self, x: int, skip: int, new: int, old: int) -> float:
         """Sum over v in N(x), v != skip, of W[new, sigma_v] - W[old, sigma_v]."""

@@ -152,7 +152,7 @@ def search(g_obs: Graph, cfg: KromfacConfig) -> SearchResult:
     rg = _recovered(g_obs, cfg)
     eps = default_epsilon(rg) if cfg.epsilon == AUTO else cfg.epsilon
     # An edgeless recovered graph gives eps = 0: no node can qualify.
-    ranking = Ranking(h=0, order=()) if eps <= 0 else select_influential(rg, eps)
+    ranking = Ranking(()) if eps <= 0 else select_influential(rg, eps)
     g_search = as_graph(rg, ranking.h, ranking.order)
     candidates = range(ranking.h + 1)
     results = commun_det_prefixes(

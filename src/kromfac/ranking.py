@@ -9,8 +9,11 @@ from .completion import RecoveredGraph
 
 @dataclass(frozen=True)
 class Ranking:
-    h: int
     order: tuple[int, ...]  # recovered-node ids, descending centrality
+
+    @property
+    def h(self) -> int:
+        return len(self.order)
 
 
 def select_influential(rg: RecoveredGraph, epsilon: float) -> Ranking:
@@ -26,7 +29,7 @@ def select_influential(rg: RecoveredGraph, epsilon: float) -> Ranking:
         (u for u, c in cen.items() if c >= epsilon),
         key=lambda u: (-cen[u], u),
     )
-    return Ranking(h=len(kept), order=tuple(kept))
+    return Ranking(tuple(kept))
 
 
 def default_epsilon(rg: RecoveredGraph) -> float:

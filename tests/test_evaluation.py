@@ -22,6 +22,7 @@ from kromfac.kron import EmConfig
 from kromfac.community import DetectConfig
 from kromfac.pipeline import KromfacConfig, complete
 from test_community import agm_edge_prob
+from test_graph import neighbours
 
 
 def cover(universe, *groups):
@@ -119,7 +120,7 @@ def scalar_ff_sample(g, spec, seed):
         burned_set.add(seed_node)
         while frontier and len(burned) < target:
             u = frontier.pop(0)
-            fresh = [v for v in g.adjacency[u] if v not in burned_set]
+            fresh = [v for v in neighbours(g, u) if v not in burned_set]
             if not fresh:
                 continue
             count = min(int(rng.geometric(1.0 - spec.p_forward)), len(fresh))

@@ -29,6 +29,7 @@ from kromfac.kron import (
     sample_missing_block,
     smallest_power,
 )
+from test_graph import adjacent, neighbours
 
 THETA = np.array([[0.9, 0.5], [0.5, 0.3]])
 
@@ -110,7 +111,7 @@ class TestLogLikelihood:
             for u in range(n):
                 for v in range(u + 1, n):
                     p = full[sigma[u], sigma[v]]
-                    expect += np.log(p) if g.has_edge(u, v) else np.log1p(-p)
+                    expect += np.log(p) if adjacent(g, u, v) else np.log1p(-p)
             got = kron_log_likelihood(g, mapping, model)
             assert got == pytest.approx(expect, rel=1e-10)
 
@@ -157,7 +158,7 @@ def brute_force_terms(g, sigma, model):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             p = full[sigma[u], sigma[v]]
-            a = g.has_edge(u, v)
+            a = adjacent(g, u, v)
             ll += np.log(p) if a else np.log1p(-p)
             w = 1.0 if a else -p / (1.0 - p)
             for d in range(k):
@@ -697,7 +698,7 @@ class TestDigitTableEstep:
                 for mh in (tables, rows):
                     got = mh.move_delta(x, t) if y < 0 else mh.swap_delta(x, y)
                     assert abs(got - expect) <= 1e-12 * scale, (x, t, got, expect)
-                adjacent_swaps += y >= 0 and graph.has_edge(x, y)
+                adjacent_swaps += y >= 0 and adjacent(graph, x, y)
         assert adjacent_swaps
         assert placed == sigma.tolist()  # deltas move nothing
 
@@ -838,7 +839,7 @@ class ReferenceMhTables:
         occupied[sigma] = 1.0
         self.ll = self.l1p @ occupied
         self.sigma = sigma
-        self.nbrs = graph.adjacency
+        self.nbrs = [neighbours(graph, u) for u in range(graph.n)]
 
     def _w_gain(self, x, skip, new, old):
         sigma, d = self.sigma, 0.0
@@ -889,7 +890,7 @@ class TestMhTablesOracle:
                 got, expect = got_mh.move_delta(x, t), ref_mh.move_delta(x, t)
             else:
                 got, expect = got_mh.swap_delta(x, y), ref_mh.swap_delta(x, y)
-                seen["adjacent swap"] += graph.has_edge(x, y)
+                seen["adjacent swap"] += adjacent(graph, x, y)
             assert type(got) is float and got == expect, (x, t, y)
             seen["move" if y < 0 else "swap"] += 1
             if u < math.exp(min(got, 0.0)):

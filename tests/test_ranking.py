@@ -103,7 +103,7 @@ def reference_ranking(rg, epsilon):
     full = full_graph(rg)
     cen = {u: full.degree(u) for u in rg.recovered_ids}
     kept = sorted((u for u, c in cen.items() if c >= epsilon), key=lambda u: (-cen[u], u))
-    return Ranking(h=len(kept), order=tuple(kept))
+    return Ranking(tuple(kept))
 
 
 @st.composite
