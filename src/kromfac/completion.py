@@ -1,9 +1,11 @@
 """Bernoulli realization of the missing adjacency blocks.
 
 The recovered structure keeps the observed graph untouched and stores the
-sampled bipartite block (observed x recovered) and the block among
-recovered nodes separately, each as a read-only (k, 2) array of edges
-sorted by (u, v). Recovered nodes are addressed by full-graph ids
+sampled block, the edges with at least one recovered endpoint, once: a
+read-only (k, 2) array of edges (u, v), u < v, sorted by (u, v). Its
+prefix with u < N is the bipartite block Z1 (observed x recovered), the
+rest the block Z2 among recovered nodes; `z1` and `z2` are read-only
+views of those two parts. Recovered nodes are addressed by full-graph ids
 N .. N+M-1 under their fixed internal order. Candidate graphs and degrees
 are assembled in numpy from the base graph's edge arrays and the
 recovered block's edges.
@@ -33,46 +35,41 @@ def _edge_rows(pairs: np.ndarray | Iterable[tuple[int, int]], n: int) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class RecoveredGraph:
-    """The observed graph plus the realized missing block. `z1` and `z2`
-    take any iterable of pairs and are stored as `_edge_rows` arrays; a
-    pair outside its block raises ValueError."""
+    """The observed graph plus the realized missing block. `edges` takes
+    any iterable of pairs and is stored as an `_edge_rows` array; a pair
+    outside the block raises ValueError."""
 
     base: Graph
     m: int
-    z1: np.ndarray  # rows (u, r) with u in [0, N), r in [N, N+M)
-    z2: np.ndarray  # rows (r1, r2) with N <= r1 < r2 < N+M
+    edges: np.ndarray  # rows (u, v), u < v, with v in [N, N+M)
 
     def __post_init__(self):
         n = self.base.n
-        z1, z2 = _edge_rows(self.z1, n + self.m), _edge_rows(self.z2, n + self.m)
-        if z1.size and not z1[:, 0].max() < n <= z1[:, 1].min():
-            raise ValueError(f"a Z1 edge must join an observed id < N = {n} to a recovered id >= N")
-        if z2.size and not (z2[:, 0].min() >= n and np.all(z2[:, 0] < z2[:, 1])):
-            raise ValueError(f"a Z2 edge must join two distinct recovered ids >= N = {n}")
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", z2)
+        if self.m < 0:
+            raise ValueError(f"the recovered node count m must be >= 0, got m={self.m}")
+        edges = _edge_rows(self.edges, n + self.m)
+        if edges.size and not (edges[:, 1].min() >= n and np.all(edges[:, 0] < edges[:, 1])):
+            raise ValueError(f"a recovered-block edge must join two distinct ids, the larger >= N = {n}")
+        object.__setattr__(self, "edges", edges)
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, RecoveredGraph) and self.m == other.m and self.base == other.base):
             return False
-        return np.array_equal(self.z1, other.z1) and np.array_equal(self.z2, other.z2)
+        return np.array_equal(self.edges, other.edges)
 
     @property
-    def n_observed(self) -> int:
-        return self.base.n
+    def z1(self) -> np.ndarray:
+        """The rows (u, r) with u in [0, N), r in [N, N+M): a prefix of `edges`."""
+        return self.edges[:np.searchsorted(self.edges[:, 0], self.base.n)]
 
     @property
-    def recovered_ids(self) -> list[int]:
-        return list(range(self.base.n, self.base.n + self.m))
-
-    def block_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoints (u, v) of the recovered-block edges, z1 then z2."""
-        pairs = np.concatenate([self.z1, self.z2])
-        return pairs[:, 0], pairs[:, 1]
+    def z2(self) -> np.ndarray:
+        """The rows (r1, r2) with N <= r1 < r2 < N+M: the rest of `edges`."""
+        return self.edges[np.searchsorted(self.edges[:, 0], self.base.n):]
 
     def degrees(self) -> np.ndarray:
         """Degree of every node of the fully recovered graph (N + M nodes)."""
-        deg = np.bincount(np.concatenate(self.block_edges()), minlength=self.base.n + self.m)
+        deg = np.bincount(self.edges.ravel(), minlength=self.base.n + self.m)
         deg[:self.base.n] += np.diff(neighbour_arrays(self.base)[0])
         return deg
 
@@ -105,10 +102,8 @@ def realize_missing(
     """
     _check_placement(g_obs.n + m, mapping, model)
     rng = np.random.default_rng(seed)
-    us, vs = sample_missing_block(model, mapping.sigma, g_obs.n, rng)
-    pairs = np.column_stack([us, vs])
-    observed = us < g_obs.n
-    return RecoveredGraph(base=g_obs, m=m, z1=pairs[observed], z2=pairs[~observed])
+    edges = np.column_stack(sample_missing_block(model, mapping.sigma, g_obs.n, rng))
+    return RecoveredGraph(base=g_obs, m=m, edges=edges)
 
 
 def as_graph(rg: RecoveredGraph, i: int, order: Sequence[int] | None = None) -> Graph:
@@ -121,7 +116,7 @@ def as_graph(rg: RecoveredGraph, i: int, order: Sequence[int] | None = None) -> 
     """
     n = rg.base.n
     if order is None:
-        order = rg.recovered_ids
+        order = range(n, n + rg.m)
     if not (0 <= i <= len(order)):
         raise ValueError(f"i={i} exceeds the {len(order)} listed recovered nodes")
     chosen = list(order[:i])
@@ -135,6 +130,6 @@ def as_graph(rg: RecoveredGraph, i: int, order: Sequence[int] | None = None) -> 
     new_id = np.full(n + rg.m, -1, dtype=np.intp)
     new_id[:n] = np.arange(n)
     new_id[np.array(chosen, dtype=np.intp)] = np.arange(n, n + i)
-    ru, rv = rg.block_edges()
+    ru, rv = rg.edges.T
     eu, ev = neighbour_arrays(rg.base)[2:]
     return relabelled(n + i, new_id, np.concatenate([eu, ru]), np.concatenate([ev, rv]))

@@ -10,7 +10,7 @@ import json
 import math
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -158,11 +158,11 @@ class ExperimentReport:
     config: dict
     fingerprint: dict
     notes: tuple[str, ...] = ()
-    metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         # Timing is deliberately left out so the artifact is byte-stable
-        # across reruns with the same seed.
+        # across reruns with the same seed. The empty "metadata" object is
+        # part of report.json's layout, which readers and its pin rely on.
         return json.dumps(
             {
                 "scores": self.scores,
@@ -170,7 +170,7 @@ class ExperimentReport:
                 "config": self.config,
                 "fingerprint": self.fingerprint,
                 "notes": list(self.notes),
-                "metadata": self.metadata,
+                "metadata": {},
             },
             indent=2,
             sort_keys=True,

@@ -24,7 +24,8 @@ def select_influential(rg: RecoveredGraph, epsilon: float) -> Ranking:
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    cen = dict(zip(rg.recovered_ids, rg.degrees()[rg.n_observed:].tolist()))
+    n = rg.base.n
+    cen = dict(zip(range(n, n + rg.m), rg.degrees()[n:].tolist()))
     kept = sorted(
         (u for u, c in cen.items() if c >= epsilon),
         key=lambda u: (-cen[u], u),

@@ -357,6 +357,11 @@ GOLDEN_ARTEFACTS = {
         "recovered.txt": "c7fe1922bffe3b100207e1460fbf832f46339d303b28b335cd109f0368a893a1",
         "mapping.json": "e84fd50011cecdbe66369d8e9caa3893d4202d3352106789c9110949d9f02548",
     },
+    # The `complete` pin above writes empty #Z1 and #Z2 sections; this one
+    # writes 3 Z1 edges and 1 Z2 edge.
+    "complete-blocks": {
+        "recovered.txt": "6ffc49581aa79bc89502619a90032b74459414457823c6b38bca51c9f864b994",
+    },
     "sample": {
         "sampled.txt": "adef35f24f011f263e5e5daedb827096129933775de684391d74e888ad2cbc3a",
         "kept.txt": "392306f996c5ec31929420a36d7e67517d9235484e90bc2299af0698c82fde60",
@@ -395,6 +400,7 @@ class TestGoldenArtefacts:
             "baseline1": ["baseline1", "--communities", "2", *FAST_DETECT],
             "baseline2": ["baseline2", "--communities", "2", "--missing", "3", *FAST_EM, *FAST_DETECT],
             "complete": ["complete", "--missing", "2", *FAST_EM],
+            "complete-blocks": ["complete", "--missing", "5", *FAST_EM],
             "sample": ["sample", "--strategy", "ff", "--fraction", "0.6"],
             "detect": detect,
             "detect-no-i0": [*detect, "--no-i0"],

@@ -390,7 +390,7 @@ def test_init_affiliations_in_range():
 
 
 def recovered(base, m, z1, z2):
-    return RecoveredGraph(base, m, frozenset(z1), frozenset(z2))
+    return RecoveredGraph(base, m, frozenset(z1) | frozenset(z2))
 
 
 def planted_recovered(seed, n_base=16, m=6, hub=None):
@@ -449,7 +449,7 @@ class TestLockstepOracle:
     def test_isolated_recovered_node(self):
         rg = planted_recovered(4)
         lonely = 22
-        rg = RecoveredGraph(rg.base, 7, rg.z1, rg.z2)  # node 22 has no edges
+        rg = RecoveredGraph(rg.base, 7, rg.edges)  # node 22 has no edges
         order = [18, lonely, 16, 21, 17, 20, 19]
         lockstep_matches_alone(rg, order, list(range(8)), 3, DetectConfig(max_iters=40))
         assert as_graph(rg, 2, order).degree(17) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kromfac import completion
 from kromfac.completion import RecoveredGraph, as_graph, realize_missing
 from kromfac.graph import Graph, induced_subgraph
 from kromfac.kron import KroneckerModel, NodeMapping, kron_entry
@@ -25,7 +26,7 @@ class TestRealizeMissing:
         g = path_graph(4)
         model = KroneckerModel(2, THETA, 2)
         rg = realize_missing(g, model, mapping(4), 0, seed=0)
-        assert rg == RecoveredGraph(g, 0, [], [])
+        assert rg == RecoveredGraph(g, 0, [])
         assert as_graph(rg, 0) == g
 
     def test_floor_theta_rarely_fires(self):
@@ -91,8 +92,7 @@ class TestAsGraph:
         return RecoveredGraph(
             base=Graph(2, [(0, 1)]),
             m=2,
-            z1=frozenset({(0, 2), (1, 3)}),
-            z2=frozenset({(2, 3)}),
+            edges=frozenset({(0, 2), (1, 3), (2, 3)}),
         )
 
     def test_i_zero(self):
@@ -146,7 +146,7 @@ def recovered_graphs(draw):
     z2 = draw(pairs(n, n + m - 1, n, n + m - 1)) if m else set()
     order = draw(st.permutations(range(n, n + m)))
     order = order[: draw(st.integers(0, m))]
-    return RecoveredGraph(base, m, frozenset(z1), frozenset(z2)), order
+    return RecoveredGraph(base, m, frozenset(z1 | z2)), order
 
 
 def reference_as_graph(rg, i, order):
@@ -181,7 +181,7 @@ class TestPrefixProperty:
 
 class TestSerialization:
     def test_write_lists_each_block_sorted(self):
-        rg = RecoveredGraph(Graph(3, [(2, 1), (0, 1)]), 3, [(2, 4), (0, 5), (0, 3)], [(5, 3), (4, 3)])
+        rg = RecoveredGraph(Graph(3, [(2, 1), (0, 1)]), 3, [(5, 3), (2, 4), (0, 5), (4, 3), (0, 3)])
         buf = io.StringIO()
         rg.write(buf)
         assert buf.getvalue() == "#BASE\n0 1\n1 2\n#Z1\n0 3\n0 5\n2 4\n#Z2\n3 4\n3 5\n"
@@ -189,49 +189,70 @@ class TestSerialization:
 
 class TestBlockArrays:
     def canonical(self):
-        return RecoveredGraph(Graph(3, [(0, 1)]), 3, [(0, 3), (1, 5), (2, 3)], [(3, 4), (4, 5)])
+        return RecoveredGraph(Graph(3, [(0, 1)]), 3, [(0, 3), (1, 5), (2, 3), (3, 4), (4, 5)])
 
     def test_arrays_are_sorted_read_only_edge_rows(self):
         rg = self.canonical()
-        for z, expect in ((rg.z1, [[0, 3], [1, 5], [2, 3]]), (rg.z2, [[3, 4], [4, 5]])):
+        z1, z2 = [[0, 3], [1, 5], [2, 3]], [[3, 4], [4, 5]]
+        for z, expect in ((rg.edges, z1 + z2), (rg.z1, z1), (rg.z2, z2)):
             assert z.dtype == np.intp and z.shape == (len(expect), 2)
             assert z.tolist() == expect
+            assert np.shares_memory(z, rg.edges)
             with pytest.raises(ValueError):
                 z[:1] = 0
         assert (len(rg.z1), len(rg.z2)) == (3, 2)  # edge counts
 
+    def test_one_edge_rows_call_per_construction(self, monkeypatch):
+        calls = []
+
+        def counted(pairs, n):
+            calls.append(n)
+            return edge_rows(pairs, n)
+
+        edge_rows = completion._edge_rows
+        monkeypatch.setattr(completion, "_edge_rows", counted)
+        self.canonical()
+        model = KroneckerModel(2, THETA, 3)
+        realize_missing(path_graph(5), model, mapping(8), 3, seed=9)
+        assert calls == [6, 8]
+
     def test_reversed_repeated_and_shuffled_pairs_equal_canonical(self):
         rg = self.canonical()
-        z1 = [(2, 3), (1, 5), (0, 3), (2, 3)]
-        z2 = [(5, 4), (3, 4), (4, 5), (4, 3)]
-        other = RecoveredGraph(Graph(3, [(1, 0)]), 3, frozenset(z1), z2)
-        assert other == rg and rg == other
-        assert np.array_equal(other.z1, rg.z1) and np.array_equal(other.z2, rg.z2)
-        assert RecoveredGraph(rg.base, 3, rg.z1, rg.z2[::-1]) == rg
+        pairs = [(5, 4), (2, 3), (3, 4), (1, 5), (4, 5), (0, 3), (2, 3), (4, 3)]
+        for edges in (pairs, frozenset(pairs)):
+            other = RecoveredGraph(Graph(3, [(1, 0)]), 3, edges)
+            assert other == rg and rg == other
+            assert np.array_equal(other.edges, rg.edges)
+        assert RecoveredGraph(rg.base, 3, rg.edges[::-1]) == rg
 
+    # z1 and z2 are the pairs listed before and after the Z1/Z2 boundary.
     @pytest.mark.parametrize("z1, z2", [([(0, 6)], []), ([], [(3, 6)]), ([(-1, 3)], []), ([(0.5, 3)], [])])
     def test_rejects_ids_outside_the_graph(self, z1, z2):
         with pytest.raises(ValueError, match=r"not a pair of ids in \[0, N \+ M = 6\)"):
-            RecoveredGraph(Graph(3, []), 3, z1, z2)
+            RecoveredGraph(Graph(3, []), 3, [*z1, *z2])
 
-    @pytest.mark.parametrize("z1, z2, block", [
-        ([(0, 2)], [], "Z1"),          # observed-observed
-        ([(3, 4)], [], "Z1"),          # recovered-recovered
-        ([], [(1, 3)], "Z2"),          # observed-recovered
-        ([], [(0, 1)], "Z2"),          # observed-observed
-        ([], [(4, 4)], "Z2"),          # self-loop
-    ])
-    def test_rejects_edges_outside_their_block(self, z1, z2, block):
-        with pytest.raises(ValueError, match=f"a {block} edge must join"):
-            RecoveredGraph(Graph(3, []), 2, z1, z2)
+    @pytest.mark.parametrize(
+        "pair", [(0, 2), (1, 0), (4, 4)], ids=["observed-observed", "observed-observed-reversed", "self-loop"]
+    )
+    def test_rejects_edges_outside_the_block(self, pair):
+        with pytest.raises(ValueError, match=r"must join two distinct ids, the larger >= N = 3"):
+            RecoveredGraph(Graph(3, []), 2, [(1, 3), pair])
+
+    @pytest.mark.parametrize("edges", [[], [(0, 2)]])
+    def test_rejects_negative_m(self, edges):
+        with pytest.raises(ValueError, match=r"m must be >= 0, got m=-1"):
+            RecoveredGraph(Graph(3, [(0, 1), (1, 2)]), -1, edges)
 
     @pytest.mark.parametrize("change", ["base", "m", "z1", "z2"])
     def test_unequal_when_any_field_differs(self, change):
         rg = self.canonical()
-        fields = {"base": rg.base, "m": rg.m, "z1": rg.z1, "z2": rg.z2}
-        fields[change] = {
-            "base": Graph(3, [(0, 2)]), "m": 4, "z1": rg.z1[1:], "z2": [(3, 5)],
-        }[change]
+        fields = {"base": rg.base, "m": rg.m, "edges": rg.edges}
+        fields.update({
+            "base": {"base": Graph(3, [(0, 2)])},
+            "m": {"m": 4},
+            "z1": {"edges": np.concatenate([rg.z1[1:], rg.z2])},
+            "z2": {"edges": np.concatenate([rg.z1, [(3, 5)]])},
+        }[change])
         assert RecoveredGraph(**fields) != rg
 
     @pytest.mark.parametrize("n_obs, m, seed", [(6, 2, 1), (5, 3, 9), (20, 6, 4), (0, 4, 2)])
@@ -242,5 +263,6 @@ class TestBlockArrays:
         rg = realize_missing(path_graph(n_obs), model, mapped, m, seed=seed)
         expect = sorted(scalar_missing_block(model, sigma, n_obs, np.random.default_rng(seed)))
         assert expect  # the case draws some edges
+        assert rg.edges.tolist() == [[u, v] for u, v in expect]
         assert rg.z1.tolist() == [[u, v] for u, v in expect if u < n_obs]
         assert rg.z2.tolist() == [[u, v] for u, v in expect if u >= n_obs]

@@ -31,8 +31,7 @@ def make_rg(base_n, z1, z2, m):
     return RecoveredGraph(
         base=Graph(base_n, [(i, i + 1) for i in range(base_n - 1)]),
         m=m,
-        z1=frozenset(z1),
-        z2=frozenset(z2),
+        edges=frozenset(z1) | frozenset(z2),
     )
 
 
@@ -83,25 +82,25 @@ class TestSelectInfluential:
 class TestDefaultEpsilon:
     def test_star_dominates(self):
         # Observed star with 5 leaves; recovered nodes stay low degree.
-        rg = RecoveredGraph(base=star(5), m=2, z1=frozenset({(1, 6), (2, 7)}), z2=frozenset())
+        rg = RecoveredGraph(base=star(5), m=2, edges=frozenset({(1, 6), (2, 7)}))
         assert default_epsilon(rg) == 2.5
 
     def test_regular_graph(self):
         cycle = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
-        rg = RecoveredGraph(base=cycle, m=0, z1=frozenset(), z2=frozenset())
+        rg = RecoveredGraph(base=cycle, m=0, edges=frozenset())
         assert default_epsilon(rg) == 1.0
 
 
 def full_graph(rg):
     """The fully recovered graph assembled from edge tuples (test oracle)."""
-    edges = list(rg.base.edges()) + list(rg.z1) + list(rg.z2)
+    edges = list(rg.base.edges()) + rg.edges.tolist()
     return Graph(rg.base.n + rg.m, edges)
 
 
 def reference_ranking(rg, epsilon):
     """select_influential from full_graph's degrees."""
     full = full_graph(rg)
-    cen = {u: full.degree(u) for u in rg.recovered_ids}
+    cen = {u: full.degree(u) for u in range(rg.base.n, full.n)}
     kept = sorted((u for u, c in cen.items() if c >= epsilon), key=lambda u: (-cen[u], u))
     return Ranking(tuple(kept))
 
@@ -120,7 +119,7 @@ def recovered_graphs(draw):
     base = Graph(n, pairs(0, n - 1, 0, n - 1))
     z1 = pairs(0, n - 1, n, n + m - 1)
     z2 = pairs(n, n + m - 1, n, n + m - 1)
-    return RecoveredGraph(base, m, frozenset(z1), frozenset(z2))
+    return RecoveredGraph(base, m, frozenset(z1 | z2))
 
 
 class TestDegreeOracle:
@@ -128,7 +127,7 @@ class TestDegreeOracle:
     def test_select_influential_matches_full_graph(self, rg, epsilon):
         assert select_influential(rg, epsilon) == reference_ranking(rg, epsilon)
         full = full_graph(rg)
-        assert rg.degrees()[rg.n_observed:].tolist() == [full.degree(u) for u in rg.recovered_ids]
+        assert rg.degrees()[rg.base.n:].tolist() == [full.degree(u) for u in range(rg.base.n, full.n)]
 
     @given(recovered_graphs())
     def test_default_epsilon_matches_full_graph(self, rg):
